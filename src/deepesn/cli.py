@@ -8,9 +8,10 @@ Subcommands
 
 Artifacts are plain delimited text with documented headers and contain no
 timestamps, so identical configurations and seeds reproduce byte-identical
-files. Grid records are appended to ``results.partial.csv`` as they
-complete (crash-safe); the final ``results.csv`` is written in canonical
-configuration order once the sweep finishes.
+files for the same BLAS thread count. Records are appended to
+``results.partial.csv`` as they complete (crash-safe); the final
+``results.csv`` is written in canonical configuration order once the sweep
+finishes. A single configuration is a one-point grid and takes the same path.
 """
 
 from __future__ import annotations
@@ -22,22 +23,15 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .flat import verify_equivalence
-from .mso import (DEFAULT_LAMBDAS, ConfigResult, ExperimentResult, GridSpec,
-                  MsoTask, _records_from_scores, evaluate_config, generate_mso,
-                  grid_search)
-from .reservoir import HyperParams, init_reservoir, run_batch
+from .mso import ConfigResult, ExperimentResult, GridSpec, MsoTask, generate_mso, grid_search
+from .reservoir import HyperParams, init_reservoir, run
 from .spectral import SpectrumReport, layer_spectra, spike_metrics
-
-_TABLE_SCALES = (0.01, 0.1, 1.0)
-_TABLE_LEAKS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-_TABLE_RADII = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 
 _RESULT_COLUMNS = (
     "task", "model", "num_layers", "units_per_layer", "input_scale",
@@ -84,11 +78,13 @@ class ExperimentConfig:
             if missing:
                 raise ValueError(f"single mode requires {', '.join(missing)}")
             if not self.allow_custom:
-                _require_in_domain("input_scale", self.input_scale, _TABLE_SCALES)
-                _require_in_domain("leak_rate", self.leak_rate, _TABLE_LEAKS)
-                _require_in_domain("spectral_radius", self.spectral_radius, _TABLE_RADII)
+                _require_in_domain("input_scale", self.input_scale, GridSpec.input_scales)
+                _require_in_domain("leak_rate", self.leak_rate, GridSpec.leak_rates)
+                _require_in_domain("spectral_radius", self.spectral_radius,
+                                   GridSpec.spectral_radii)
                 if self.ridge_lambda is not None:
-                    _require_in_domain("ridge_lambda", self.ridge_lambda, DEFAULT_LAMBDAS)
+                    _require_in_domain("ridge_lambda", self.ridge_lambda,
+                                       GridSpec.ridge_lambdas)
 
 
 def _require_in_domain(name: str, value: float, candidates: Sequence[float]) -> None:
@@ -124,21 +120,17 @@ def _result_row(task_n: int, model: str, layers: int, units: int,
     ]
 
 
-def _run_single(task: MsoTask, config: ExperimentConfig, layers: int,
-                units: int) -> ExperimentResult:
-    lambdas = DEFAULT_LAMBDAS if config.ridge_lambda is None else (config.ridge_lambda,)
-    params = HyperParams(layers, units, 1, config.input_scale, config.leak_rate,
-                         config.spectral_radius, "linear", 0)
-    evaluation = evaluate_config(task, params, lambdas, config.guesses, config.base_seed)
-    records = _records_from_scores(config.input_scale, config.leak_rate,
-                                   config.spectral_radius, lambdas,
-                                   evaluation.val_nrmse, evaluation.test_nrmse)
-    selected = min(records, key=lambda r: r.mean_val_nrmse)
-    return ExperimentResult(
-        task_n=task.n, num_layers=layers, units_per_layer=units,
-        guesses=config.guesses, base_seed=config.base_seed,
-        records=tuple(records), selected=selected, failures=0,
-    )
+def _grid_spec(config: ExperimentConfig, layers: int, units: int) -> GridSpec:
+    """The full candidate grid, or the one point that single mode names."""
+    grid = GridSpec(num_layers=layers, units_per_layer=units,
+                    guesses=config.guesses, base_seed=config.base_seed)
+    if config.mode == "grid":
+        return grid
+    lambdas = grid.ridge_lambdas if config.ridge_lambda is None else (config.ridge_lambda,)
+    return dataclasses.replace(grid, input_scales=(config.input_scale,),
+                               leak_rates=(config.leak_rate,),
+                               spectral_radii=(config.spectral_radius,),
+                               ridge_lambdas=lambdas)
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -160,20 +152,13 @@ def run_experiment(config: ExperimentConfig) -> int:
             writer.writerow(_RESULT_COLUMNS)
             for model in models:
                 layers, units = _model_dims(config, model)
-                if config.mode == "grid":
-                    grid = GridSpec(num_layers=layers, units_per_layer=units,
-                                    guesses=config.guesses, base_seed=config.base_seed)
 
-                    def stream(rec, model=model, layers=layers, units=units):
-                        writer.writerow(_result_row(task.n, model, layers, units, rec))
-                        partial.flush()
+                def stream(rec, model=model, layers=layers, units=units):
+                    writer.writerow(_result_row(task.n, model, layers, units, rec))
+                    partial.flush()
 
-                    results[model] = grid_search(task, grid, workers=config.workers,
-                                                 on_result=stream)
-                else:
-                    results[model] = _run_single(task, config, layers, units)
-                    for rec in results[model].records:
-                        writer.writerow(_result_row(task.n, model, layers, units, rec))
+                results[model] = grid_search(task, _grid_spec(config, layers, units),
+                                             workers=config.workers, on_result=stream)
     except Exception as exc:
         with open(os.path.join(out, "failures.txt"), "w") as fh:
             fh.write(f"{type(exc).__name__}: {exc}\n")
@@ -289,11 +274,9 @@ def _compute_spectra(task: MsoTask, config: ExperimentConfig, layers: int,
                          config.leak_rate if config.leak_rate is not None else 0.9,
                          config.spectral_radius if config.spectral_radius is not None else 0.7,
                          "linear", 0)
-    reservoirs = [
-        init_reservoir(dataclasses.replace(params, seed=config.base_seed + g))
-        for g in range(config.guesses)
-    ]
-    trajectories = run_batch(reservoirs, generate_mso(task))
+    u = generate_mso(task)
+    trajectories = [run(init_reservoir(dataclasses.replace(params, seed=config.base_seed + g)), u)
+                    for g in range(config.guesses)]
     return layer_spectra(trajectories, config.washout, params=params)
 
 
@@ -310,11 +293,10 @@ def _write_spike_table(path: str, report: SpectrumReport,
 
 
 def emit_plot_data(artifact, path) -> None:
-    """Write plot-ready delimited text for a result, report, or signal.
+    """Write plot-ready delimited text for a spectrum report or a signal.
 
-    Spectrum reports become (layer, frequency, magnitude) rows; experiment
-    results become a one-row NRMSE table (task, model, mean, std); 1-D
-    arrays become (time, value) rows with time starting at 1.
+    Spectrum reports become (layer, frequency, magnitude) rows; 1-D arrays
+    become (time, value) rows with time starting at 1.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -324,16 +306,6 @@ def emit_plot_data(artifact, path) -> None:
                 for freq, mag in zip(artifact.freq_bins, artifact.per_layer[layer]):
                     writer.writerow([str(layer + 1), _format_float(freq),
                                      _format_float(mag)])
-        elif isinstance(artifact, ExperimentResult):
-            writer.writerow(["task", "model", "mean_test_nrmse", "std_test_nrmse"])
-            if artifact.selected is None:
-                warnings.warn("experiment result holds no successful records; "
-                              "wrote header only")
-            else:
-                model = "deep" if artifact.num_layers > 1 else "shallow"
-                writer.writerow([f"mso{artifact.task_n}", model,
-                                 _format_float(artifact.selected.mean_test_nrmse),
-                                 _format_float(artifact.selected.std_test_nrmse)])
         elif isinstance(artifact, np.ndarray) and artifact.ndim == 1:
             writer.writerow(["time", "value"])
             for t, value in enumerate(artifact, start=1):

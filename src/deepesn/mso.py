@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .readout import fit_ridge_sweep, nrmse, predict
-from .reservoir import HyperParams, init_reservoir, run_batch
+from .reservoir import HyperParams, init_reservoir, run
 
 #: Canonical MSO frequencies (radians per step); MSO-n uses the first n.
 CANONICAL_PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97,
@@ -116,8 +116,7 @@ def generate_mso(task: MsoTask) -> np.ndarray:
 
 def _signal_and_targets(task: MsoTask) -> tuple[np.ndarray, np.ndarray]:
     """Input u(1..length) and next-step targets u(2..length+1)."""
-    t = np.arange(1, task.length + 2, dtype=float)
-    s = np.sin(np.outer(np.asarray(task.phis), t)).sum(axis=0)
+    s = generate_mso(dataclasses.replace(task, length=task.length + 1))
     return s[:-1], s[1:]
 
 
@@ -154,27 +153,6 @@ def _sorted_std(values: np.ndarray) -> float:
     mean = _sorted_mean(values)
     ordered = np.sort((np.asarray(values, dtype=float) - mean) ** 2)
     return float(np.sqrt(ordered.sum() / ordered.size))
-
-
-@dataclass(frozen=True)
-class ConfigEvaluation:
-    """Per-guess NRMSE of one reservoir configuration across a lambda grid."""
-
-    lambdas: tuple[float, ...]
-    val_nrmse: np.ndarray    # (guesses, len(lambdas))
-    test_nrmse: np.ndarray
-
-    @property
-    def mean_val(self) -> np.ndarray:
-        return np.array([_sorted_mean(col) for col in self.val_nrmse.T])
-
-    @property
-    def mean_test(self) -> np.ndarray:
-        return np.array([_sorted_mean(col) for col in self.test_nrmse.T])
-
-    @property
-    def best_index(self) -> int:
-        return int(np.argmin(self.mean_val))
 
 
 @dataclass(frozen=True)
@@ -228,36 +206,6 @@ def _config_label(scale: float, leak: float, rho: float, seed: int) -> str:
     return f"input_scale={scale} leak_rate={leak} spectral_radius={rho} seed={seed}"
 
 
-def evaluate_config(task: MsoTask, params: HyperParams, lambda_grid: Sequence[float],
-                    guesses: int, base_seed: int) -> ConfigEvaluation:
-    """Evaluate one reservoir configuration over independently seeded guesses.
-
-    Guess ``g`` uses seed ``base_seed + g``; the seed field of ``params`` is
-    ignored. Each guess runs once over the full task sequence; the readout
-    is fit on the washout-trimmed training range and scored per lambda on
-    the validation and test ranges. States are reused across lambdas.
-    """
-    if guesses < 1:
-        raise ValueError("guesses must be >= 1")
-    u, targets = _signal_and_targets(task)
-    reservoirs = [
-        init_reservoir(dataclasses.replace(params, seed=base_seed + g))
-        for g in range(guesses)
-    ]
-    trajectories = run_batch(reservoirs, u)
-    lambdas = tuple(float(l) for l in lambda_grid)
-    val = np.empty((guesses, len(lambdas)))
-    test = np.empty((guesses, len(lambdas)))
-    for g, traj in enumerate(trajectories):
-        concat = traj.concatenated
-        if not np.isfinite(concat).all():
-            label = _config_label(params.input_scale, params.leak_rate,
-                                  params.spectral_radius_target, base_seed + g)
-            raise RuntimeError(f"non-finite reservoir states for {label}")
-        val[g], test[g] = _score_states(concat, targets, task.split, lambdas)
-    return ConfigEvaluation(lambdas=lambdas, val_nrmse=val, test_nrmse=test)
-
-
 def _records_from_scores(scale: float, leak: float, rho: float,
                          lambdas: Sequence[float], val: np.ndarray,
                          test: np.ndarray) -> list[ConfigResult]:
@@ -286,27 +234,28 @@ def _error_record(scale: float, leak: float, rho: float, exc: Exception) -> Conf
     )
 
 
+def _guess_states(u: np.ndarray, grid: GridSpec, scale: float, leak: float,
+                  rho: float) -> list[np.ndarray]:
+    """Layered states of every guess of one configuration; guess g uses seed base_seed + g."""
+    params = HyperParams(grid.num_layers, grid.units_per_layer, 1, scale, leak, rho,
+                         grid.activation, 0)
+    return [run(init_reservoir(dataclasses.replace(params, seed=grid.base_seed + g)), u).states
+            for g in range(grid.guesses)]
+
+
 def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float,
                    rho: float) -> list[tuple[float, list[ConfigResult]]]:
     """All input-scale variants of one (leak, radius) grid point.
 
-    Linear activation: one unit-scale batched run serves every input scale
+    Linear activation: one unit-scale run per guess serves every input scale
     through exact per-layer rescaling (layer i scales as scale**i). Other
-    activations evaluate each scale directly.
+    activations run each scale directly.
     """
-    n_layers = grid.num_layers
+    u, targets = _signal_and_targets(task)
     base_states = None
-    targets = None
     if grid.activation == "linear":
         try:
-            base = HyperParams(grid.num_layers, grid.units_per_layer, 1, 1.0,
-                               leak, rho, "linear", 0)
-            u, targets = _signal_and_targets(task)
-            reservoirs = [
-                init_reservoir(dataclasses.replace(base, seed=grid.base_seed + g))
-                for g in range(grid.guesses)
-            ]
-            base_states = [t.states for t in run_batch(reservoirs, u)]
+            base_states = _guess_states(u, grid, 1.0, leak, rho)
         except Exception as exc:  # recorded per scale, excluded from selection
             return [(scale, [_error_record(scale, leak, rho, exc)])
                     for scale in grid.input_scales]
@@ -315,24 +264,20 @@ def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float,
     for scale in grid.input_scales:
         try:
             if base_states is None:
-                params = HyperParams(grid.num_layers, grid.units_per_layer, 1,
-                                     scale, leak, rho, grid.activation, 0)
-                evaluation = evaluate_config(task, params, grid.ridge_lambdas,
-                                             grid.guesses, grid.base_seed)
-                val, test = evaluation.val_nrmse, evaluation.test_nrmse
+                states = _guess_states(u, grid, scale, leak, rho)
             else:
-                factors = (float(scale) ** np.arange(1, n_layers + 1))[:, None]
-                val = np.empty((grid.guesses, len(grid.ridge_lambdas)))
-                test = np.empty_like(val)
-                for g, states in enumerate(base_states):
-                    scaled = states * factors
-                    concat = scaled.reshape(states.shape[0], -1)
-                    if not np.isfinite(concat).all():
-                        raise RuntimeError(
-                            "non-finite reservoir states for "
-                            + _config_label(scale, leak, rho, grid.base_seed + g))
-                    val[g], test[g] = _score_states(concat, targets, task.split,
-                                                    grid.ridge_lambdas)
+                factors = (float(scale) ** np.arange(1, grid.num_layers + 1))[:, None]
+                states = (s * factors for s in base_states)
+            val = np.empty((grid.guesses, len(grid.ridge_lambdas)))
+            test = np.empty_like(val)
+            for g, guess_states in enumerate(states):
+                concat = guess_states.reshape(guess_states.shape[0], -1)
+                if not np.isfinite(concat).all():
+                    raise RuntimeError(
+                        "non-finite reservoir states for "
+                        + _config_label(scale, leak, rho, grid.base_seed + g))
+                val[g], test[g] = _score_states(concat, targets, task.split,
+                                                grid.ridge_lambdas)
             out.append((scale, _records_from_scores(scale, leak, rho,
                                                     grid.ridge_lambdas, val, test)))
         except Exception as exc:
@@ -354,7 +299,7 @@ def grid_search(task: MsoTask, grid: GridSpec, workers: int = 1,
     """
     pairs = [(leak, rho) for leak in grid.leak_rates for rho in grid.spectral_radii]
     pair_outputs: dict[int, list] = {}
-    if workers <= 1:
+    if min(workers, len(pairs)) <= 1:  # a one-pair grid gains nothing from a pool
         for idx, (leak, rho) in enumerate(pairs):
             pair_outputs[idx] = _evaluate_pair(task, grid, leak, rho)
             if on_result is not None:

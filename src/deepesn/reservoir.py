@@ -21,9 +21,9 @@ matrices of earlier layers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -64,14 +64,14 @@ class HyperParams:
             raise ValueError("num_layers, units_per_layer and input_dim must be >= 1")
         if not 0.0 <= self.leak_rate <= 1.0:
             raise ValueError(f"leak_rate must lie in [0, 1], got {self.leak_rate}")
-        if not self.spectral_radius_target > 0.0:
-            raise ValueError("spectral_radius_target must be positive")
-        if not self.input_scale >= 0.0:
-            raise ValueError("input_scale must be nonnegative")
+        if not 0.0 < self.spectral_radius_target < math.inf:
+            raise ValueError("spectral_radius_target must be positive and finite")
+        if not 0.0 <= self.input_scale < math.inf:
+            raise ValueError("input_scale must be nonnegative and finite")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if isinstance(self.seed, bool) or not 0 <= int(self.seed) < 2 ** 64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
 
     @property
     def total_units(self) -> int:
@@ -125,21 +125,19 @@ def effective_matrix(recurrent: np.ndarray, leak_rate: float) -> np.ndarray:
     return (1.0 - leak_rate) * np.eye(n) + leak_rate * recurrent
 
 
-def spectral_radius(m: np.ndarray, rel_tol: float = 1e-10) -> float:
+def spectral_radius(m: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a square real matrix.
 
     Computed with a dense QR eigenvalue solver, which resolves complex
-    conjugate dominant pairs and delivers accuracy near machine precision,
-    well inside any reasonable ``rel_tol``. LAPACK's internal iteration cap
-    applies; non-convergence surfaces as ``numpy.linalg.LinAlgError``.
+    conjugate dominant pairs and delivers accuracy near machine precision.
+    LAPACK's internal iteration cap applies; non-convergence surfaces as
+    ``numpy.linalg.LinAlgError``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if not rel_tol > 0.0:
-        raise ValueError("rel_tol must be positive")
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
@@ -298,68 +296,23 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
     ``inputs`` is ``(steps, input_dim)`` (a plain 1-D sequence is accepted
     for one-dimensional input). Step ``t`` of the trajectory is the state
     after consuming input ``t``.
+
+    Layers are swept one at a time: layer ``i - 1``'s whole trajectory is
+    known before layer ``i`` starts, because it only feeds forward. Each
+    step does the same matrix-vector products in the same order as
+    ``step``, so the result is bit-identical to repeated stepping.
     """
     p = res.params
     u = _as_input_matrix(inputs, p.input_dim)
+    a = p.leak_rate
     out = np.empty((u.shape[0], p.num_layers, p.units_per_layer))
-    state = zero_state(p)
-    for t in range(u.shape[0]):
-        state = step(res, state, u[t])
-        out[t] = state
+    src, w_drive = u, res.input_weights
+    for i, w_rec in enumerate(res.recurrent_weights):
+        if i > 0:
+            src, w_drive = out[:, i - 1], res.inter_layer_weights[i - 1]
+        x = np.zeros(p.units_per_layer)
+        for t in range(u.shape[0]):
+            pre = w_drive @ src[t] + w_rec @ x
+            x = (1.0 - a) * x + a * _apply_activation(pre, p.activation)
+            out[t, i] = x
     return StateTrajectory(states=_readonly(out))
-
-
-def run_batch(reservoirs: Sequence[DeepReservoir], inputs) -> list[StateTrajectory]:
-    """Run several same-shaped reservoirs over one input sequence.
-
-    Stacks the per-layer weight matrices so each time step costs a handful
-    of batched matrix products instead of one pass per reservoir. Results
-    match per-reservoir ``run`` up to floating-point associativity.
-    """
-    if not reservoirs:
-        return []
-    p0 = reservoirs[0].params
-    for r in reservoirs[1:]:
-        q = r.params
-        if (q.num_layers, q.units_per_layer, q.input_dim, q.activation) != (
-                p0.num_layers, p0.units_per_layer, p0.input_dim, p0.activation):
-            raise ValueError("all reservoirs in a batch must share shape and activation")
-    u = _as_input_matrix(inputs, p0.input_dim)
-    n_g, n_l, n_r = len(reservoirs), p0.num_layers, p0.units_per_layer
-    w_in = np.stack([r.input_weights for r in reservoirs])            # (G, N_R, N_U)
-    rec = [np.stack([r.recurrent_weights[i] for r in reservoirs]) for i in range(n_l)]
-    inter = [np.stack([r.inter_layer_weights[i] for r in reservoirs]) for i in range(n_l - 1)]
-    leak = np.array([r.params.leak_rate for r in reservoirs])[:, None]  # (G, 1)
-    act = p0.activation
-
-    out = np.empty((n_g, u.shape[0], n_l, n_r))
-    states = [np.zeros((n_g, n_r)) for _ in range(n_l)]
-    for t in range(u.shape[0]):
-        drive = w_in @ u[t]                                           # (G, N_R)
-        new_prev = None
-        for i in range(n_l):
-            pre = np.matmul(rec[i], states[i][:, :, None])[:, :, 0]
-            pre += drive if i == 0 else np.matmul(inter[i - 1], new_prev[:, :, None])[:, :, 0]
-            new_prev = (1.0 - leak) * states[i] + leak * _apply_activation(pre, act)
-            states[i] = new_prev
-            out[:, t, i, :] = new_prev
-    return [StateTrajectory(states=_readonly(out[g])) for g in range(n_g)]
-
-
-def dump_reservoir(res: DeepReservoir, path) -> None:
-    """Debug dump of all weight matrices to an .npz archive (row-major).
-
-    Layout is not a stable serialization format across versions.
-    """
-    arrays = {"input_weights": res.input_weights}
-    for i, w in enumerate(res.inter_layer_weights):
-        arrays[f"inter_layer_{i + 2}"] = w
-    for i, w in enumerate(res.recurrent_weights):
-        arrays[f"recurrent_{i + 1}"] = w
-    p = res.params
-    arrays["params"] = np.array([
-        p.num_layers, p.units_per_layer, p.input_dim, p.input_scale,
-        p.leak_rate, p.spectral_radius_target, float(ACTIVATIONS.index(p.activation)),
-    ])
-    arrays["seed"] = np.array(p.seed, dtype=np.uint64)
-    np.savez(path, **arrays)

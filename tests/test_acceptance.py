@@ -65,7 +65,8 @@ def spectral_run():
                             spectral_radius_target=0.7, seed=0)
     reservoirs = [de.init_reservoir(dataclasses.replace(params, seed=BASE_SEED + g))
                   for g in range(20)]
-    trajectories = de.run_batch(reservoirs, de.generate_mso(de.MsoTask(12)))
+    u = de.generate_mso(de.MsoTask(12))
+    trajectories = [de.run(r, u) for r in reservoirs]
     report = de.layer_spectra(trajectories, washout=100, params=params)
     return de.spike_metrics(report, de.CANONICAL_PHIS)
 

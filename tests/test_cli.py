@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import deepesn as de
-from deepesn.cli import ExperimentConfig, emit_plot_data, main, run_experiment
+from deepesn.cli import ExperimentConfig, _result_row, emit_plot_data, main, run_experiment
 from deepesn.spectral import SpectrumReport
 
 
@@ -66,6 +66,23 @@ def test_run_single_mode_artifacts(tmp_path):
     assert row["ridge_lambda"] == "0.0001"
     assert float(row["mean_test_nrmse"]) > 0
     assert "selected:" in (out / "summary.txt").read_text()
+
+
+def test_single_row_matches_grid_record(tmp_path):
+    # single mode is a one-point grid: at a non-unit input scale it reuses the
+    # grid's scale-shared states, so its row equals the grid's bit for bit
+    out = tmp_path / "one"
+    assert main(["run", "--task", "mso5", "--single", "--scale-in", "0.1",
+                 "--leak", "0.9", "--rho", "0.7", "--layers", "2", "--units", "4",
+                 "--guesses", "2", "--seed", "5", "--out", str(out)]) == 0
+    single_rows = read_lines(out / "results.csv")[1:]
+    grid = de.GridSpec(num_layers=2, units_per_layer=4, leak_rates=(0.7, 0.9),
+                       spectral_radii=(0.7,), guesses=2, base_seed=5)
+    records = [r for r in de.grid_search(de.MsoTask(5), grid).records
+               if (r.input_scale, r.leak_rate) == (0.1, 0.9)]
+    assert len(single_rows) == len(records) == 12
+    for line, rec in zip(single_rows, records):
+        assert line.split(",") == _result_row(5, "deep", 2, 4, rec)
 
 
 def test_run_single_requires_config_values(tmp_path, capsys):
@@ -182,28 +199,6 @@ def test_emit_spectrum_report_rows(tmp_path):
     emit_plot_data(report, path)
     lines = read_lines(path)
     assert len(lines) == 1 + 4510
-
-
-def test_emit_experiment_result_table(tmp_path):
-    rec = de.ConfigResult(1.0, 0.9, 0.7, 1e-6, (0.1,), (0.2,), 0.1, 0.0, 0.2, 0.0)
-    result = de.ExperimentResult(task_n=5, num_layers=10, units_per_layer=100,
-                                 guesses=1, base_seed=0, records=(rec,),
-                                 selected=rec, failures=0)
-    path = tmp_path / "table.csv"
-    emit_plot_data(result, path)
-    lines = read_lines(path)
-    assert lines[0] == "task,model,mean_test_nrmse,std_test_nrmse"
-    assert lines[1].startswith("mso5,deep,0.2")
-
-
-def test_emit_empty_result_warns(tmp_path):
-    result = de.ExperimentResult(task_n=5, num_layers=1, units_per_layer=10,
-                                 guesses=1, base_seed=0, records=(),
-                                 selected=None, failures=0)
-    path = tmp_path / "empty.csv"
-    with pytest.warns(UserWarning):
-        emit_plot_data(result, path)
-    assert read_lines(path) == ["task,model,mean_test_nrmse,std_test_nrmse"]
 
 
 def test_emit_rejects_unknown_artifact(tmp_path):

@@ -126,41 +126,58 @@ def test_split_discipline_fit_slice_ignores_test_range():
     assert np.array_equal(w1, w2)
 
 
-# ------------------------------------------------------------ evaluate_config
+# ------------------------------------------------------- evaluation pipeline
 
 SMALL_PARAMS = de.HyperParams(2, 6, 1, 1.0, 0.9, 0.7, "linear", 0)
 
-
-def test_evaluate_config_deterministic():
-    task = de.MsoTask(5)
-    a = de.evaluate_config(task, SMALL_PARAMS, (1e-8, 1e-2), 2, base_seed=10)
-    b = de.evaluate_config(task, SMALL_PARAMS, (1e-8, 1e-2), 2, base_seed=10)
-    assert np.array_equal(a.val_nrmse, b.val_nrmse)
-    assert np.array_equal(a.test_nrmse, b.test_nrmse)
+SMALL_GRID = de.GridSpec(
+    num_layers=2, units_per_layer=6, input_scales=(1.0,), leak_rates=(0.9,),
+    spectral_radii=(0.7,), ridge_lambdas=(1e-8, 1e-2), guesses=2, base_seed=0,
+)
 
 
-def test_evaluate_config_matches_hand_pipeline():
-    task = de.MsoTask(5)
-    lambdas = (1e-6,)
-    evaluation = de.evaluate_config(task, SMALL_PARAMS, lambdas, 2, base_seed=3)
+def _hand_scores(task, params, lambdas, guesses, base_seed):
+    """Per-guess validation and test NRMSE from run + fit_ridge, guess g at seed base_seed + g."""
     u, y = _signal_and_targets(task)
-    for g in range(2):
-        r = de.init_reservoir(dataclasses.replace(SMALL_PARAMS, seed=3 + g))
+    s = task.split
+    val = np.empty((guesses, len(lambdas)))
+    test = np.empty_like(val)
+    for g in range(guesses):
+        r = de.init_reservoir(dataclasses.replace(params, seed=base_seed + g))
         concat = de.run(r, u).concatenated
-        s = task.split
-        fit = de.fit_ridge(concat[s.fit_slice], y[s.fit_slice], 1e-6)
-        val = de.nrmse(de.predict(fit, concat[s.validation_slice])[:, 0],
-                       y[s.validation_slice])
-        test = de.nrmse(de.predict(fit, concat[s.test_slice])[:, 0], y[s.test_slice])
-        assert evaluation.val_nrmse[g, 0] == val
-        assert evaluation.test_nrmse[g, 0] == test
+        for j, lam in enumerate(lambdas):
+            fit = de.fit_ridge(concat[s.fit_slice], y[s.fit_slice], lam)
+            val[g, j] = de.nrmse(de.predict(fit, concat[s.validation_slice])[:, 0],
+                                 y[s.validation_slice])
+            test[g, j] = de.nrmse(de.predict(fit, concat[s.test_slice])[:, 0],
+                                  y[s.test_slice])
+    return val, test
 
 
-def test_evaluate_config_per_guess_seeds_are_base_plus_index():
+def test_grid_search_deterministic():
+    grid = dataclasses.replace(SMALL_GRID, base_seed=10)
+    a = de.grid_search(de.MsoTask(5), grid)
+    b = de.grid_search(de.MsoTask(5), grid)
+    assert a.records == b.records
+
+
+def test_grid_search_matches_hand_pipeline():
+    # unit input scale takes the exact arithmetic of a direct run: bitwise agreement
     task = de.MsoTask(5)
-    both = de.evaluate_config(task, SMALL_PARAMS, (1e-4,), 2, base_seed=20)
-    lone = de.evaluate_config(task, SMALL_PARAMS, (1e-4,), 1, base_seed=21)
-    assert both.val_nrmse[1, 0] == lone.val_nrmse[0, 0]
+    grid = dataclasses.replace(SMALL_GRID, base_seed=3)
+    result = de.grid_search(task, grid)
+    val, test = _hand_scores(task, SMALL_PARAMS, grid.ridge_lambdas, 2, base_seed=3)
+    for j, rec in enumerate(result.records):
+        assert rec.per_guess_val == tuple(val[:, j])
+        assert rec.per_guess_test == tuple(test[:, j])
+
+
+def test_grid_search_per_guess_seeds_are_base_plus_index():
+    task = de.MsoTask(5)
+    grid = dataclasses.replace(SMALL_GRID, ridge_lambdas=(1e-4,))
+    both = de.grid_search(task, dataclasses.replace(grid, guesses=2, base_seed=20))
+    lone = de.grid_search(task, dataclasses.replace(grid, guesses=1, base_seed=21))
+    assert both.records[0].per_guess_val[1] == lone.records[0].per_guess_val[0]
 
 
 def test_guess_permutation_invariance_of_means():
@@ -170,15 +187,20 @@ def test_guess_permutation_invariance_of_means():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_evaluate_config_nonfinite_states_diagnostic():
-    params = dataclasses.replace(SMALL_PARAMS, spectral_radius_target=50.0)
-    with pytest.raises(RuntimeError, match="spectral_radius=50.0"):
-        de.evaluate_config(de.MsoTask(5), params, (1e-4,), 1, base_seed=0)
+def test_grid_search_nonfinite_states_diagnostic():
+    grid = dataclasses.replace(SMALL_GRID, spectral_radii=(50.0,),
+                               ridge_lambdas=(1e-4,), guesses=1)
+    result = de.grid_search(de.MsoTask(5), grid)
+    assert result.failures == 1
+    assert result.selected is None
+    error = result.records[0].error
+    assert error.startswith("RuntimeError: non-finite reservoir states")
+    assert "spectral_radius=50.0" in error
 
 
-def test_evaluate_config_rejects_zero_guesses():
+def test_grid_spec_rejects_zero_guesses():
     with pytest.raises(ValueError):
-        de.evaluate_config(de.MsoTask(5), SMALL_PARAMS, (1e-4,), 0, base_seed=0)
+        de.GridSpec(num_layers=2, units_per_layer=6, guesses=0)
 
 
 # ---------------------------------------------------------------- grid_search
@@ -209,18 +231,6 @@ def test_grid_search_selection_is_first_minimum():
     assert result.selected_test_nrmse == first.mean_test_nrmse
 
 
-def test_grid_search_single_config_echoes_evaluate_config():
-    grid = de.GridSpec(num_layers=2, units_per_layer=6, input_scales=(1.0,),
-                       leak_rates=(0.9,), spectral_radii=(0.7,),
-                       ridge_lambdas=(1e-8, 1e-2), guesses=2, base_seed=0)
-    result = de.grid_search(de.MsoTask(5), grid)
-    evaluation = de.evaluate_config(de.MsoTask(5), SMALL_PARAMS, (1e-8, 1e-2), 2, 0)
-    # unit input scale shares the exact arithmetic path: bitwise agreement
-    for j, rec in enumerate(result.records):
-        assert rec.per_guess_val == tuple(evaluation.val_nrmse[:, j])
-        assert rec.per_guess_test == tuple(evaluation.test_nrmse[:, j])
-
-
 def test_grid_scale_sharing_matches_direct_runs():
     # derived input-scale states vs direct per-scale runs: same results up to
     # floating-point path differences, far below any decision threshold
@@ -228,12 +238,12 @@ def test_grid_scale_sharing_matches_direct_runs():
     recs = {scale: records for scale, records in
             _evaluate_pair(task, TINY_GRID, 0.9, 0.7)}
     params = dataclasses.replace(SMALL_PARAMS, units_per_layer=5, input_scale=0.1)
-    direct = de.evaluate_config(task, params, TINY_GRID.ridge_lambdas, 2, base_seed=7)
+    val, test = _hand_scores(task, params, TINY_GRID.ridge_lambdas, 2, base_seed=7)
     for j in range(2):
         assert recs[0.1][j].mean_val_nrmse == pytest.approx(
-            _sorted_mean(direct.val_nrmse[:, j]), rel=1e-7)
+            _sorted_mean(val[:, j]), rel=1e-7)
         assert recs[0.1][j].mean_test_nrmse == pytest.approx(
-            _sorted_mean(direct.test_nrmse[:, j]), rel=1e-7)
+            _sorted_mean(test[:, j]), rel=1e-7)
 
 
 def test_grid_search_records_failures_and_excludes_them():

@@ -24,6 +24,9 @@ from conftest import gelfand_radius
     dict(num_layers=2, units_per_layer=5, input_scale=-1.0),
     dict(num_layers=2, units_per_layer=5, activation="relu"),
     dict(num_layers=2, units_per_layer=5, seed=-1),
+    dict(num_layers=2, units_per_layer=5, spectral_radius_target=float("inf")),
+    dict(num_layers=2, units_per_layer=5, input_scale=float("inf")),
+    dict(num_layers=2, units_per_layer=5, seed=True),
 ])
 def test_hyperparams_validation(kwargs):
     with pytest.raises(ValueError):
@@ -58,11 +61,6 @@ def test_spectral_radius_rejects_nonsquare():
 def test_spectral_radius_rejects_nonfinite():
     with pytest.raises(ValueError):
         de.spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_spectral_radius_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        de.spectral_radius(np.eye(2), rel_tol=0.0)
 
 
 def test_spectral_radius_matches_gelfand_oracle(rng):
@@ -234,12 +232,19 @@ def test_run_rejects_empty(small_reservoir):
 
 
 def test_run_matches_manual_stepping(small_reservoir, small_params, rng):
-    u = rng.uniform(-1, 1, 17)
-    traj = de.run(small_reservoir, u)
-    state = de.zero_state(small_params)
-    for t in range(17):
-        state = de.step(small_reservoir, state, u[t:t + 1])
-        assert np.array_equal(traj.states[t], state)
+    # the layer-outer sweep of run must reproduce step's arithmetic bit for bit
+    reservoirs = [
+        small_reservoir,
+        de.init_reservoir(dataclasses.replace(small_params, activation="saturating")),
+        de.init_reservoir(dataclasses.replace(small_params, input_dim=2)),
+    ]
+    for r in reservoirs:
+        u = rng.uniform(-1, 1, (17, r.params.input_dim))
+        traj = de.run(r, u)
+        state = de.zero_state(r.params)
+        for t in range(17):
+            state = de.step(r, state, u[t])
+            assert np.array_equal(traj.states[t], state)
 
 
 def test_concatenated_layout(small_reservoir, rng):
@@ -281,36 +286,3 @@ def test_linear_superposition(rng):
     left = de.run(r, u + v).states
     right = de.run(r, u).states + de.run(r, v).states
     np.testing.assert_allclose(left, right, atol=1e-10)
-
-
-# ------------------------------------------------------------------ run_batch
-
-def test_run_batch_matches_run(rng):
-    p = de.HyperParams(3, 8, leak_rate=0.9, spectral_radius_target=0.7, seed=0)
-    reservoirs = [de.init_reservoir(dataclasses.replace(p, seed=s)) for s in (1, 2, 3)]
-    u = rng.uniform(-1, 1, 60)
-    batched = de.run_batch(reservoirs, u)
-    for r, traj in zip(reservoirs, batched):
-        assert np.array_equal(traj.states, de.run(r, u).states)
-
-
-def test_run_batch_rejects_mixed_shapes():
-    a = de.init_reservoir(de.HyperParams(2, 4, seed=1))
-    b = de.init_reservoir(de.HyperParams(2, 5, seed=1))
-    with pytest.raises(ValueError):
-        de.run_batch([a, b], np.ones(3))
-
-
-def test_run_batch_empty():
-    assert de.run_batch([], np.ones(3)) == []
-
-
-# ----------------------------------------------------------------------- dump
-
-def test_dump_reservoir_roundtrip(tmp_path, small_reservoir):
-    path = tmp_path / "res.npz"
-    de.dump_reservoir(small_reservoir, path)
-    data = np.load(path)
-    np.testing.assert_array_equal(data["input_weights"], small_reservoir.input_weights)
-    np.testing.assert_array_equal(data["recurrent_1"], small_reservoir.recurrent_weights[0])
-    np.testing.assert_array_equal(data["inter_layer_2"], small_reservoir.inter_layer_weights[0])

@@ -90,7 +90,7 @@ def test_layer_spectra_normalization_and_echo():
     reservoirs = [de.init_reservoir(dataclasses.replace(p, seed=s)) for s in (2, 3)]
     u = de.generate_mso(de.MsoTask(5, length=400, split=de.SplitSpec(
         (1, 160), 40, (161, 280), (281, 400))))
-    trajs = de.run_batch(reservoirs, u)
+    trajs = [de.run(r, u) for r in reservoirs]
     report = de.layer_spectra(trajs, washout=100, params=p)
     assert report.guesses == 2
     assert report.washout == 100
@@ -201,7 +201,7 @@ def test_spike_detection_on_reservoir_run():
     reservoirs = [de.init_reservoir(dataclasses.replace(p, seed=60 + g))
                   for g in range(3)]
     u = de.generate_mso(de.MsoTask(12))
-    trajs = de.run_batch(reservoirs, u)
+    trajs = [de.run(r, u) for r in reservoirs]
     report = de.layer_spectra(trajs, washout=100)
     metrics = de.spike_metrics(report, de.CANONICAL_PHIS)
     assert metrics.magnitudes.shape == (4, 12)
