@@ -172,6 +172,18 @@ def test_grid_search_matches_hand_pipeline():
         assert rec.per_guess_test == tuple(test[:, j])
 
 
+def test_evaluate_config_matches_hand_pipeline():
+    # the one config evaluator, _evaluate_pair, at unit input scale: bitwise
+    # agreement with run + fit_ridge per guess
+    task = de.MsoTask(5)
+    grid = dataclasses.replace(SMALL_GRID, ridge_lambdas=(1e-6,), base_seed=3)
+    [(scale, records)] = _evaluate_pair(task, grid, 0.9, 0.7)
+    assert scale == 1.0
+    val, test = _hand_scores(task, SMALL_PARAMS, (1e-6,), 2, base_seed=3)
+    assert records[0].per_guess_val == tuple(val[:, 0])
+    assert records[0].per_guess_test == tuple(test[:, 0])
+
+
 def test_grid_search_per_guess_seeds_are_base_plus_index():
     task = de.MsoTask(5)
     grid = dataclasses.replace(SMALL_GRID, ridge_lambdas=(1e-4,))
@@ -229,6 +241,14 @@ def test_grid_search_selection_is_first_minimum():
     first = next(r for r in result.records if r.mean_val_nrmse == best)
     assert result.selected is first
     assert result.selected_test_nrmse == first.mean_test_nrmse
+
+
+def test_grid_search_single_config_echoes_evaluate_config():
+    # a one-point grid returns the direct evaluation of that point, bit for bit
+    result = de.grid_search(de.MsoTask(5), SMALL_GRID)
+    [(_, records)] = _evaluate_pair(de.MsoTask(5), SMALL_GRID, 0.9, 0.7)
+    assert result.records == tuple(records)
+    assert result.selected == min(records, key=lambda r: r.mean_val_nrmse)
 
 
 def test_grid_scale_sharing_matches_direct_runs():
