@@ -12,6 +12,13 @@ files for the same BLAS thread count. Records are appended to
 ``results.partial.csv`` as they complete (crash-safe); the final
 ``results.csv`` is written in canonical configuration order once the sweep
 finishes. A single configuration is a one-point grid and takes the same path.
+
+The analyses (``spectrum``, ``verify-flat`` and ``run``'s
+``--spectral-analysis``/``--equivalence-check``) use a linear reservoir at
+``ANALYSIS_POINT`` (input scale, leak rate, spectral radius). ``--scale-in``,
+``--leak`` and ``--rho`` override it; ``run``'s analyses fall back to it for
+any of the three the run leaves unset. ``run``'s ``config.echo`` holds the
+resolved ``ExperimentConfig``, ``spectrum``'s its parsed arguments.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flat import verify_equivalence
-from .mso import ConfigResult, ExperimentResult, GridSpec, MsoTask, generate_mso, grid_search
+from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, generate_mso,
+                  grid_search)
 from .reservoir import HyperParams, init_reservoir, run
 from .spectral import SpectrumReport, layer_spectra, spike_metrics
 
@@ -39,6 +47,9 @@ _RESULT_COLUMNS = (
     "std_val_nrmse", "mean_test_nrmse", "std_test_nrmse",
     "per_guess_val", "per_guess_test", "error",
 )
+
+#: Input scale, leak rate and spectral radius of the analyses (see above).
+ANALYSIS_POINT = (1.0, 0.9, 0.7)
 
 
 @dataclass(frozen=True)
@@ -137,12 +148,11 @@ def run_experiment(config: ExperimentConfig) -> int:
     """Execute the configured pipeline and persist all artifacts."""
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "config.echo"), "w") as fh:
-        json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "config.echo"), dataclasses.asdict(config))
 
     task = MsoTask(n=config.task_n, length=config.length)
     models = ("deep", "shallow") if config.model == "both" else (config.model,)
+    dims = {model: _model_dims(config, model) for model in models}
 
     partial_path = os.path.join(out, "results.partial.csv")
     results: dict[str, ExperimentResult] = {}
@@ -150,8 +160,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         with open(partial_path, "w", newline="") as partial:
             writer = csv.writer(partial)
             writer.writerow(_RESULT_COLUMNS)
-            for model in models:
-                layers, units = _model_dims(config, model)
+            for model, (layers, units) in dims.items():
 
                 def stream(rec, model=model, layers=layers, units=units):
                     writer.writerow(_result_row(task.n, model, layers, units, rec))
@@ -168,8 +177,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     with open(os.path.join(out, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RESULT_COLUMNS)
-        for model in models:
-            layers, units = _model_dims(config, model)
+        for model, (layers, units) in dims.items():
             for rec in results[model].records:
                 writer.writerow(_result_row(task.n, model, layers, units, rec))
     os.remove(partial_path)
@@ -186,16 +194,14 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     _write_summary(os.path.join(out, "summary.txt"), task, config, models, results)
 
-    if config.equivalence_check:
-        layers, units = _model_dims(config, models[0])
-        _write_equivalence(os.path.join(out, "equivalence.txt"), task, config,
-                           layers, units)
-
-    if config.spectral_analysis:
-        layers, units = _model_dims(config, models[0])
-        report = _compute_spectra(task, config, layers, units)
-        emit_plot_data(report, os.path.join(out, "spectra.csv"))
-        _write_spike_table(os.path.join(out, "spikes.csv"), report, task.phis)
+    if config.equivalence_check or config.spectral_analysis:
+        params = _analysis_params(*dims[models[0]], config.base_seed, config.input_scale,
+                                  config.leak_rate, config.spectral_radius)
+        if config.equivalence_check:
+            _write_equivalence(os.path.join(out, "equivalence.txt"), task.n, params)
+        if config.spectral_analysis:
+            _write_spectra(out, task.n, config.length, params, config.guesses,
+                           config.washout)
 
     if any(results[m].selected is None for m in models):
         print("error: experiment: no configuration evaluated successfully",
@@ -244,46 +250,58 @@ def _column_title(model: str) -> str:
     return "l-deepesn" if model == "deep" else "l-esn"
 
 
-def _write_equivalence(path: str, task: MsoTask, config: ExperimentConfig,
-                       layers: int, units: int, steps: int = 200,
+def _write_json(path: str, record: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _analysis_params(layers: int, units: int, seed: int, input_scale: Optional[float],
+                     leak_rate: Optional[float], spectral_radius: Optional[float]) -> HyperParams:
+    """The linear reservoir of the analyses; unset values come from ANALYSIS_POINT."""
+    point = (input_scale, leak_rate, spectral_radius)
+    return HyperParams(layers, units, 1,
+                       *(d if v is None else v for v, d in zip(point, ANALYSIS_POINT)),
+                       "linear", seed)
+
+
+def _mso_signal(task_n: int, length: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The first ``length`` steps of the MSO signal, and its frequencies.
+
+    Only ``run`` uses the train/validation/test split, so shorter signals
+    are cut from one of split length: every sample is computed on its own,
+    so the cut equals the shorter signal bit for bit.
+    """
+    if length < 1:
+        raise ValueError(f"signal length must be >= 1, got {length}")
+    task = MsoTask(n=task_n, length=max(length, SplitSpec().required_length))
+    return generate_mso(task)[:length], task.phis
+
+
+def _write_equivalence(path: str, task_n: int, params: HyperParams, steps: int = 200,
                        abs_tol: float = 1e-8) -> bool:
-    params = HyperParams(layers, units, 1,
-                         config.input_scale if config.input_scale is not None else 1.0,
-                         config.leak_rate if config.leak_rate is not None else 0.9,
-                         config.spectral_radius if config.spectral_radius is not None else 0.7,
-                         "linear", config.base_seed)
-    inputs = generate_mso(task)[:steps]
+    inputs, _ = _mso_signal(task_n, steps)
     report = verify_equivalence(init_reservoir(params), inputs, abs_tol)
-    record = {
+    _write_json(path, {
         "max_abs_diff": report.max_abs_diff,
         "pass": report.passed,
         "abs_tol": report.abs_tol,
         "steps": report.num_steps,
         "config": dataclasses.asdict(params),
-    }
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return report.passed
 
 
-def _compute_spectra(task: MsoTask, config: ExperimentConfig, layers: int,
-                     units: int) -> SpectrumReport:
-    params = HyperParams(layers, units, 1,
-                         config.input_scale if config.input_scale is not None else 1.0,
-                         config.leak_rate if config.leak_rate is not None else 0.9,
-                         config.spectral_radius if config.spectral_radius is not None else 0.7,
-                         "linear", 0)
-    u = generate_mso(task)
-    trajectories = [run(init_reservoir(dataclasses.replace(params, seed=config.base_seed + g)), u)
-                    for g in range(config.guesses)]
-    return layer_spectra(trajectories, config.washout, params=params)
-
-
-def _write_spike_table(path: str, report: SpectrumReport,
-                       phis: Sequence[float]) -> None:
+def _write_spectra(out: str, task_n: int, length: int, params: HyperParams, guesses: int,
+                   washout: int) -> None:
+    """``spectra.csv`` (layer, frequency, magnitude) and ``spikes.csv`` (per layer)."""
+    u, phis = _mso_signal(task_n, length)
+    trajectories = [run(init_reservoir(dataclasses.replace(params, seed=params.seed + g)), u)
+                    for g in range(guesses)]
+    report = layer_spectra(trajectories, washout, params=params)
+    emit_plot_data(report, os.path.join(out, "spectra.csv"))
     metrics = spike_metrics(report, phis)
-    with open(path, "w", newline="") as fh:
+    with open(os.path.join(out, "spikes.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "filtering_ratio"]
                         + [f"spike_phi{k + 1}" for k in range(len(phis))])
@@ -336,6 +354,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
+def _add_point(parser: argparse.ArgumentParser,
+               defaults: Sequence[Optional[float]] = (None, None, None)) -> None:
+    for flag, dest, default in zip(("--scale-in", "--leak", "--rho"),
+                                   ("scale_in", "leak", "rho"), defaults):
+        parser.add_argument(flag, type=float, dest=dest, default=default)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     parser = argparse.ArgumentParser(prog="deepesn",
                                      description="deep echo state network experiments")
@@ -349,13 +374,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     mode.add_argument("--grid", action="store_true", help="full candidate-grid sweep (default)")
     mode.add_argument("--single", action="store_true",
                       help="one configuration; requires --scale-in, --leak, --rho")
-    run_p.add_argument("--scale-in", type=float, dest="scale_in")
-    run_p.add_argument("--leak", type=float)
-    run_p.add_argument("--rho", type=float)
+    _add_point(run_p)
     run_p.add_argument("--lambda", type=float, dest="ridge_lambda",
                        help="single ridge value (default: sweep the full grid)")
     run_p.add_argument("--guesses", type=int, default=10)
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=int, default=1,
+                       help="grid pairs in parallel; pin BLAS to one thread with it")
     run_p.add_argument("--equivalence-check", action="store_true")
     run_p.add_argument("--spectral-analysis", action="store_true")
     run_p.add_argument("--washout", type=int, default=100)
@@ -364,17 +388,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     spec_p = sub.add_parser("spectrum", help="layer-wise FFT analysis")
     _add_common(spec_p)
-    spec_p.add_argument("--scale-in", type=float, dest="scale_in", default=1.0)
-    spec_p.add_argument("--leak", type=float, default=0.9)
-    spec_p.add_argument("--rho", type=float, default=0.7)
+    _add_point(spec_p, ANALYSIS_POINT)
     spec_p.add_argument("--guesses", type=int, default=100)
     spec_p.add_argument("--washout", type=int, default=100)
 
     ver_p = sub.add_parser("verify-flat", help="layered vs flat equivalence check")
     _add_common(ver_p)
-    ver_p.add_argument("--scale-in", type=float, dest="scale_in", default=1.0)
-    ver_p.add_argument("--leak", type=float, default=0.9)
-    ver_p.add_argument("--rho", type=float, default=0.7)
+    _add_point(ver_p, ANALYSIS_POINT)
     ver_p.add_argument("--steps", type=int, default=200)
     ver_p.add_argument("--tol", type=float, default=1e-8)
 
@@ -423,39 +443,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "run":
             return run_experiment(_config_from_args(args))
-        if args.command == "spectrum":
+        if args.command in ("spectrum", "verify-flat"):
             os.makedirs(args.out, exist_ok=True)
-            config = ExperimentConfig(
-                task_n=args.task, out_dir=args.out, length=args.length,
-                num_layers=args.layers, units_per_layer=args.units,
-                input_scale=args.scale_in, leak_rate=args.leak,
-                spectral_radius=args.rho, guesses=args.guesses,
-                base_seed=args.seed, washout=args.washout, allow_custom=True,
-            )
-            task = MsoTask(n=config.task_n, length=config.length)
-            with open(os.path.join(args.out, "config.echo"), "w") as fh:
-                json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            report = _compute_spectra(task, config, args.layers, args.units)
-            emit_plot_data(report, os.path.join(args.out, "spectra.csv"))
-            _write_spike_table(os.path.join(args.out, "spikes.csv"), report, task.phis)
+            params = _analysis_params(args.layers, args.units, args.seed, args.scale_in,
+                                      args.leak, args.rho)
+        if args.command == "spectrum":
+            _write_json(os.path.join(args.out, "config.echo"), vars(args))
+            _write_spectra(args.out, args.task, args.length, params, args.guesses,
+                           args.washout)
             return 0
         if args.command == "verify-flat":
-            os.makedirs(args.out, exist_ok=True)
-            task = MsoTask(n=args.task, length=max(args.length, args.steps))
-            config = ExperimentConfig(
-                task_n=args.task, out_dir=args.out, num_layers=args.layers,
-                units_per_layer=args.units, input_scale=args.scale_in,
-                leak_rate=args.leak, spectral_radius=args.rho,
-                base_seed=args.seed, allow_custom=True,
-            )
-            passed = _write_equivalence(os.path.join(args.out, "equivalence.txt"),
-                                        task, config, args.layers, args.units,
-                                        steps=args.steps, abs_tol=args.tol)
+            passed = _write_equivalence(os.path.join(args.out, "equivalence.txt"), args.task,
+                                        params, steps=args.steps, abs_tol=args.tol)
             return 0 if passed else 1
         if args.command == "signal":
             os.makedirs(args.out, exist_ok=True)
-            signal = generate_mso(MsoTask(n=args.task, length=args.length))
+            signal, _ = _mso_signal(args.task, args.length)
             if args.excerpt is not None:
                 signal = signal[: args.excerpt]
             emit_plot_data(signal, os.path.join(args.out, "signal.csv"))

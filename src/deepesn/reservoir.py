@@ -150,18 +150,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=256)
 def _input_raw(seed: int, n_units: int, n_inputs: int) -> np.ndarray:
     """Unit-scale input weight draw, substream (0,)."""
-    g = _substream(seed, (_STREAM_INPUT,))
-    return _readonly(g.uniform(-1.0, 1.0, (n_units, n_inputs)))
+    return _substream(seed, (_STREAM_INPUT,)).uniform(-1.0, 1.0, (n_units, n_inputs))
 
 
-@lru_cache(maxsize=256)
 def _inter_raw(seed: int, layer: int, n_units: int) -> np.ndarray:
     """Unit-scale inter-layer weight draw for 1-based layer, substream (1, layer)."""
-    g = _substream(seed, (_STREAM_INTER, layer))
-    return _readonly(g.uniform(-1.0, 1.0, (n_units, n_units)))
+    return _substream(seed, (_STREAM_INTER, layer)).uniform(-1.0, 1.0, (n_units, n_units))
 
 
 @lru_cache(maxsize=256)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import deepesn as de
-from deepesn.cli import ExperimentConfig, _result_row, emit_plot_data, main, run_experiment
+from deepesn.cli import (ANALYSIS_POINT, ExperimentConfig, _result_row, emit_plot_data, main,
+                         run_experiment)
 from deepesn.spectral import SpectrumReport
 
 
@@ -24,6 +25,21 @@ def test_signal_excerpt_rows(tmp_path):
     t, value = lines[1].split(",")
     assert t == "1"
     assert float(value) == pytest.approx(de.generate_mso(de.MsoTask(12))[0])
+
+
+def test_short_signals_accepted(tmp_path):
+    # only run uses the train/validation/test split; shorter signals are
+    # prefixes of the default one, bit for bit
+    assert main(["signal", "--task", "mso12", "--out", str(tmp_path / "full")]) == 0
+    assert main(["signal", "--task", "mso12", "--length", "400",
+                 "--out", str(tmp_path / "short")]) == 0
+    full = read_lines(tmp_path / "full" / "signal.csv")
+    assert read_lines(tmp_path / "short" / "signal.csv") == full[:401]
+    assert main(["spectrum", "--task", "mso5", "--length", "600", "--layers", "2",
+                 "--units", "3", "--guesses", "1", "--out", str(tmp_path / "spec")]) == 0
+    assert main(["verify-flat", "--length", "300", "--layers", "2", "--units", "3",
+                 "--out", str(tmp_path / "eq")]) == 0
+    assert main(["signal", "--length", "0", "--out", str(tmp_path / "empty")]) == 2
 
 
 def test_signal_task_parsing(tmp_path):
@@ -176,6 +192,24 @@ def test_run_config_file_unknown_field(tmp_path, capsys):
 
 # ------------------------------------------------------------------- run grid
 
+def test_run_analyses_default_to_analysis_point(tmp_path):
+    # a grid run names no scale, leak or radius: its analyses use the same
+    # point as the standalone spectrum and verify-flat commands
+    common = ["--task", "mso5", "--layers", "2", "--units", "3", "--seed", "4"]
+    run_out, spec_out, eq_out = tmp_path / "run", tmp_path / "spec", tmp_path / "eq"
+    assert main(["run", "--grid", "--guesses", "1", "--spectral-analysis",
+                 "--equivalence-check", "--out", str(run_out)] + common) == 0
+    assert main(["spectrum", "--guesses", "1", "--out", str(spec_out)] + common) == 0
+    assert main(["verify-flat", "--out", str(eq_out)] + common) == 0
+    for name in ("spectra.csv", "spikes.csv"):
+        assert (run_out / name).read_bytes() == (spec_out / name).read_bytes()
+    run_eq = json.loads((run_out / "equivalence.txt").read_text())
+    flat_eq = json.loads((eq_out / "equivalence.txt").read_text())
+    assert run_eq["config"] == flat_eq["config"]
+    assert (run_eq["config"]["input_scale"], run_eq["config"]["leak_rate"],
+            run_eq["config"]["spectral_radius_target"]) == ANALYSIS_POINT
+
+
 def test_run_grid_small_shallow(tmp_path):
     out = tmp_path / "grid"
     code = main(["run", "--task", "mso5", "--grid", "--layers", "1",
@@ -218,6 +252,10 @@ def test_spectrum_command(tmp_path):
     spikes = read_lines(out / "spikes.csv")
     assert spikes[0].startswith("layer,filtering_ratio,spike_phi1")
     assert len(spikes) == 4
+    echo = json.loads((out / "config.echo").read_text())
+    assert echo["command"] == "spectrum"
+    assert (echo["scale_in"], echo["leak"], echo["rho"]) == ANALYSIS_POINT
+    assert "mode" not in echo and "workers" not in echo
 
 
 # ----------------------------------------------------------- run_experiment API

@@ -286,9 +286,12 @@ def test_grid_search_parallel_matches_serial():
 
 
 def test_grid_search_streams_records():
-    seen = []
-    result = de.grid_search(de.MsoTask(5), TINY_GRID, on_result=seen.append)
-    assert sorted(map(repr, seen)) == sorted(map(repr, result.records))
+    # serial and pool runs deliver records through the same path
+    for workers in (1, 2):
+        seen = []
+        result = de.grid_search(de.MsoTask(5), TINY_GRID, workers=workers,
+                                on_result=seen.append)
+        assert sorted(map(repr, seen)) == sorted(map(repr, result.records))
 
 
 def test_grid_search_saturating_fallback():
