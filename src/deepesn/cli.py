@@ -50,6 +50,9 @@ _RESULT_COLUMNS = (
 
 #: Input scale, leak rate and spectral radius of the analyses (see above).
 ANALYSIS_POINT = (1.0, 0.9, 0.7)
+#: Largest layered-vs-flat gap the equivalence check accepts, relative to each
+#: layer's state magnitude; rounding alone stays near 2e-15 at 10x100.
+EQUIVALENCE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,9 @@ class ExperimentConfig:
                 if self.ridge_lambda is not None:
                     _require_in_domain("ridge_lambda", self.ridge_lambda,
                                        GridSpec.ridge_lambdas)
+        if self.spectral_analysis and not 0 <= self.washout <= self.length - 2:
+            raise ValueError(f"spectral analysis needs 0 <= washout <= length - 2 (at least "
+                             f"2 analysis steps), got washout={self.washout}")
 
 
 def _require_in_domain(name: str, value: float, candidates: Sequence[float]) -> None:
@@ -279,13 +285,14 @@ def _mso_signal(task_n: int, length: int) -> tuple[np.ndarray, tuple[float, ...]
 
 
 def _write_equivalence(path: str, task_n: int, params: HyperParams, steps: int = 200,
-                       abs_tol: float = 1e-8) -> bool:
+                       rel_tol: float = EQUIVALENCE_REL_TOL) -> bool:
     inputs, _ = _mso_signal(task_n, steps)
-    report = verify_equivalence(init_reservoir(params), inputs, abs_tol)
+    report = verify_equivalence(init_reservoir(params), inputs, rel_tol)
     _write_json(path, {
         "max_abs_diff": report.max_abs_diff,
+        "max_rel_diff": report.max_rel_diff,
         "pass": report.passed,
-        "abs_tol": report.abs_tol,
+        "rel_tol": report.rel_tol,
         "steps": report.num_steps,
         "config": dataclasses.asdict(params),
     })
@@ -346,7 +353,6 @@ def _parse_task(text: str) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task", type=_parse_task, default=12,
                         help="MSO task, e.g. mso5 (default mso12)")
-    parser.add_argument("--length", type=int, default=1000)
     parser.add_argument("--layers", type=int, default=10)
     parser.add_argument("--units", type=int, default=100,
                         help="units per layer")
@@ -369,6 +375,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run_p = sub.add_parser("run", help="benchmark protocol (grid or single config)")
     run_p.add_argument("--config", help="JSON file providing defaults for any flag")
     _add_common(run_p)
+    run_p.add_argument("--length", type=int, default=1000)
     run_p.add_argument("--model", choices=("deep", "shallow", "both"), default="deep")
     mode = run_p.add_mutually_exclusive_group()
     mode.add_argument("--grid", action="store_true", help="full candidate-grid sweep (default)")
@@ -388,6 +395,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
 
     spec_p = sub.add_parser("spectrum", help="layer-wise FFT analysis")
     _add_common(spec_p)
+    spec_p.add_argument("--length", type=int, default=1000)
     _add_point(spec_p, ANALYSIS_POINT)
     spec_p.add_argument("--guesses", type=int, default=100)
     spec_p.add_argument("--washout", type=int, default=100)
@@ -395,8 +403,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     ver_p = sub.add_parser("verify-flat", help="layered vs flat equivalence check")
     _add_common(ver_p)
     _add_point(ver_p, ANALYSIS_POINT)
-    ver_p.add_argument("--steps", type=int, default=200)
-    ver_p.add_argument("--tol", type=float, default=1e-8)
+    ver_p.add_argument("--steps", type=int, default=200, help="signal length checked")
+    ver_p.add_argument("--tol", type=float, default=EQUIVALENCE_REL_TOL,
+                       help="largest gap relative to each layer's state magnitude")
 
     sig_p = sub.add_parser("signal", help="dump the MSO input sequence")
     sig_p.add_argument("--task", type=_parse_task, default=12)
@@ -454,9 +463,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "verify-flat":
             passed = _write_equivalence(os.path.join(args.out, "equivalence.txt"), args.task,
-                                        params, steps=args.steps, abs_tol=args.tol)
+                                        params, steps=args.steps, rel_tol=args.tol)
             return 0 if passed else 1
         if args.command == "signal":
+            if args.excerpt is not None and args.excerpt < 1:
+                raise ValueError(f"excerpt must be >= 1, got {args.excerpt}")
             os.makedirs(args.out, exist_ok=True)
             signal, _ = _mso_signal(args.task, args.length)
             if args.excerpt is not None:

@@ -286,6 +286,46 @@ def _as_input_matrix(inputs, input_dim: int) -> np.ndarray:
     return u
 
 
+def _matrix_power(m: np.ndarray, e: int) -> np.ndarray:
+    """``m ** e`` for ``e >= 1`` by left-to-right repeated squaring in two buffers."""
+    r, buf = m.copy(), np.empty_like(m)
+    for bit in bin(e)[3:]:
+        np.matmul(r, r, out=buf)
+        if bit == "1":
+            np.matmul(buf, m, out=r)
+        else:
+            r, buf = buf, r
+    return r
+
+
+def _linear_scan(x: np.ndarray, m: np.ndarray) -> None:
+    """Solve ``x_t = M x_{t-1} + d_t`` from ``x_{-1} = 0`` in place; ``x`` holds d.
+
+    A blocked scan over chunks of ``b = ceil(sqrt(steps))`` rows (Martin &
+    Cundy, arXiv 1709.04057): every chunk first runs from a zero start, all
+    chunks at once; the chunk-end states are then carried through ``M^b``;
+    last, each chunk adds ``M^(k+1)`` times the state before it to its row
+    ``k``. Each row only ever reads earlier rows, so the scan stays causal.
+    """
+    steps = x.shape[0]
+    b = math.isqrt(steps - 1) + 1
+    mt = m.T
+    for k in range(1, b):
+        rows = x[k::b]
+        rows += x[k - 1::b][: len(rows)] @ mt
+    if steps <= b:
+        return
+    ends = x[b - 1::b]
+    carry = _matrix_power(m, b)
+    for c in range(1, len(ends)):
+        ends[c] += carry @ ends[c - 1]
+    z = ends[: len(x[b::b])]
+    for k in range(b - 1):
+        rows = x[b + k::b]
+        z = z[: len(rows)] @ mt
+        rows += z
+
+
 def run(res: DeepReservoir, inputs) -> StateTrajectory:
     """Drive the reservoir from the zero state through an input sequence.
 
@@ -294,9 +334,11 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
     after consuming input ``t``.
 
     Layers are swept one at a time: layer ``i - 1``'s whole trajectory is
-    known before layer ``i`` starts, because it only feeds forward. Each
-    step does the same matrix-vector products in the same order as
-    ``step``, so the result is bit-identical to repeated stepping.
+    known before layer ``i`` starts, because it only feeds forward, so each
+    layer's drive is one matrix product over all steps. Linear layers then
+    solve ``x_t = M x_{t-1} + a d_t`` with a blocked scan; saturating layers
+    step through time. The result equals repeated ``step`` up to rounding,
+    not bit for bit: the products are summed in another order.
     """
     p = res.params
     u = _as_input_matrix(inputs, p.input_dim)
@@ -306,9 +348,14 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
     for i, w_rec in enumerate(res.recurrent_weights):
         if i > 0:
             src, w_drive = out[:, i - 1], res.inter_layer_weights[i - 1]
-        x = np.zeros(p.units_per_layer)
-        for t in range(u.shape[0]):
-            pre = w_drive @ src[t] + w_rec @ x
-            x = (1.0 - a) * x + a * _apply_activation(pre, p.activation)
-            out[t, i] = x
+        x = out[:, i]
+        np.matmul(src, w_drive.T, out=x)
+        if p.activation == "linear":
+            x *= a
+            _linear_scan(x, effective_matrix(w_rec, a))
+        else:
+            state = np.zeros(p.units_per_layer)
+            for t in range(x.shape[0]):
+                state = (1.0 - a) * state + a * np.tanh(x[t] + w_rec @ state)
+                x[t] = state
     return StateTrajectory(states=_readonly(out))

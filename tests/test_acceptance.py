@@ -84,7 +84,7 @@ def test_criterion_1_flat_equivalence():
                                 seed=int(rng.integers(0, 2 ** 32)))
         inputs = rng.uniform(-1.0, 1.0, 200)
         report = de.verify_equivalence(de.init_reservoir(params), inputs,
-                                       abs_tol=1e-8)
+                                       rel_tol=1e-8)
         worst = max(worst, report.max_abs_diff)
         if not report.passed:
             break

@@ -37,9 +37,16 @@ def test_short_signals_accepted(tmp_path):
     assert read_lines(tmp_path / "short" / "signal.csv") == full[:401]
     assert main(["spectrum", "--task", "mso5", "--length", "600", "--layers", "2",
                  "--units", "3", "--guesses", "1", "--out", str(tmp_path / "spec")]) == 0
-    assert main(["verify-flat", "--length", "300", "--layers", "2", "--units", "3",
+    assert main(["verify-flat", "--steps", "300", "--layers", "2", "--units", "3",
                  "--out", str(tmp_path / "eq")]) == 0
     assert main(["signal", "--length", "0", "--out", str(tmp_path / "empty")]) == 2
+
+
+def test_signal_rejects_excerpt_below_one(tmp_path):
+    for excerpt in ("0", "-5"):
+        out = tmp_path / f"sig{excerpt}"
+        assert main(["signal", "--excerpt", excerpt, "--out", str(out)]) == 2
+        assert not (out / "signal.csv").exists()
 
 
 def test_signal_task_parsing(tmp_path):
@@ -57,9 +64,25 @@ def test_verify_flat_small_config(tmp_path):
     assert code == 0
     record = json.loads((out / "equivalence.txt").read_text())
     assert record["pass"] is True
-    assert record["max_abs_diff"] <= record["abs_tol"]
+    assert record["max_rel_diff"] <= record["rel_tol"]
     assert record["steps"] == 200
     assert record["config"]["num_layers"] == 3
+
+
+def test_verify_flat_defaults_pass_at_depth(tmp_path):
+    # at 10x100 the layer-10 states reach ~1e9 and absolute gaps ~1e-6; the
+    # check is relative to each layer's state magnitude
+    for seed in ("0", "1", "2"):
+        out = tmp_path / seed
+        assert main(["verify-flat", "--seed", seed, "--out", str(out)]) == 0
+        record = json.loads((out / "equivalence.txt").read_text())
+        assert record["max_rel_diff"] <= 1e-12
+
+
+def test_verify_flat_has_no_length(tmp_path):
+    # --steps is the length of the checked signal
+    with pytest.raises(SystemExit):
+        main(["verify-flat", "--length", "300", "--out", str(tmp_path / "eq")])
 
 
 # ----------------------------------------------------------------- run single
@@ -180,6 +203,16 @@ def test_run_config_file_defaults(tmp_path):
     echo = json.loads((out / "config.echo").read_text())
     assert echo["mode"] == "single"
     assert echo["guesses"] == 1
+
+
+def test_run_rejects_washout_before_sweep(tmp_path, capsys):
+    out = tmp_path / "washout"
+    code = main(["run", "--task", "mso5", "--grid", "--layers", "1", "--units", "2",
+                 "--guesses", "1", "--washout", "5000", "--spectral-analysis",
+                 "--out", str(out)])
+    assert code == 2
+    assert "washout" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
 
 
 def test_run_config_file_unknown_field(tmp_path, capsys):

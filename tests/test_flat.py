@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import deepesn as de
+from deepesn import flat as flat_module
 from deepesn.exceptions import UnsupportedConfigurationError
 
 from conftest import gelfand_radius
@@ -110,8 +111,9 @@ def test_verify_equivalence_passes(rng):
     p = de.HyperParams(3, 5, leak_rate=0.7, spectral_radius_target=0.9, seed=21)
     r = de.init_reservoir(p)
     u = rng.uniform(-1, 1, 200)
-    report = de.verify_equivalence(r, u, abs_tol=1e-8)
+    report = de.verify_equivalence(r, u, rel_tol=1e-12)
     assert report.passed
+    assert report.max_rel_diff <= 1e-12
     assert report.max_abs_diff <= 1e-8
     assert report.num_steps == 200
     assert report.per_step_diffs.shape == (200,)
@@ -124,29 +126,48 @@ def test_verify_equivalence_single_layer_diff_is_tiny(rng):
     p = de.HyperParams(1, 6, leak_rate=0.9, spectral_radius_target=0.7, seed=4)
     r = de.init_reservoir(p)
     u = rng.uniform(-1, 1, 100)
-    report = de.verify_equivalence(r, u, abs_tol=1e-12)
+    report = de.verify_equivalence(r, u, rel_tol=1e-12)
     assert report.passed
+    assert report.max_abs_diff <= 1e-12
+
+
+# Layer-10 states reach ~1e9 here, so absolute gaps reach ~1e-6. Relative to
+# each layer's state magnitude, the sequential simulator's gaps over seeds
+# 40-59 stayed within 1.95e-15; the bound leaves a factor of 5.
+MSO12_DEEP_REL_TOL = 1e-14
 
 
 def test_verify_equivalence_mso12_deep():
-    # the benchmark-scale configuration accumulates over 1000 coordinates,
-    # hence the looser tolerance; calibrated well above observed rounding noise
     p = de.HyperParams(10, 100, leak_rate=0.9, spectral_radius_target=0.7, seed=50)
     r = de.init_reservoir(p)
     u = de.generate_mso(de.MsoTask(12))
-    report = de.verify_equivalence(r, u, abs_tol=1e-6)
+    report = de.verify_equivalence(r, u, rel_tol=MSO12_DEEP_REL_TOL)
     assert report.passed
+
+
+def test_verify_equivalence_catches_planted_weight_error(monkeypatch):
+    # the layered side runs with one inter-layer matrix off by 1e-9 relative
+    p = de.HyperParams(10, 100, leak_rate=0.9, spectral_radius_target=0.7, seed=50)
+    r = de.init_reservoir(p)
+    inter = list(r.inter_layer_weights)
+    inter[4] = inter[4] * (1.0 + 1e-9)
+    planted = dataclasses.replace(r, inter_layer_weights=tuple(inter))
+    monkeypatch.setattr(flat_module, "run", lambda res, inputs: de.run(planted, inputs))
+    u = de.generate_mso(de.MsoTask(12))
+    report = de.verify_equivalence(r, u, rel_tol=MSO12_DEEP_REL_TOL)
+    assert not report.passed
+    assert report.max_rel_diff > 1e-10
 
 
 def test_verify_equivalence_rejects_bad_tol(small_reservoir):
     with pytest.raises(ValueError):
-        de.verify_equivalence(small_reservoir, np.ones(5), abs_tol=0.0)
+        de.verify_equivalence(small_reservoir, np.ones(5), rel_tol=0.0)
 
 
 def test_verify_equivalence_propagates_unsupported(small_params):
     r = de.init_reservoir(dataclasses.replace(small_params, activation="saturating"))
     with pytest.raises(UnsupportedConfigurationError):
-        de.verify_equivalence(r, np.ones(5), abs_tol=1e-8)
+        de.verify_equivalence(r, np.ones(5), rel_tol=1e-8)
 
 
 def test_spectrum_containment(rng):

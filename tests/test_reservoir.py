@@ -231,8 +231,28 @@ def test_run_rejects_empty(small_reservoir):
         de.run(small_reservoir, np.zeros((0, 1)))
 
 
+#: Largest per-layer gap between ``run`` and repeated ``step``, relative to
+#: the layer's state magnitude; rounding stays below 5e-15 at these sizes.
+RUN_VS_STEP_REL = 1e-12
+
+
+def _stepped(r, u):
+    """Trajectory by repeated ``step``, the sequential oracle of ``run``."""
+    out = np.empty((len(u), r.params.num_layers, r.params.units_per_layer))
+    state = de.zero_state(r.params)
+    for t, u_t in enumerate(u):
+        state = out[t] = de.step(r, state, u_t)
+    return out
+
+
+def _assert_layers_close(states, expected, rel=RUN_VS_STEP_REL):
+    # run sums its products in another order than step: each layer's gap is
+    # bounded relative to that layer's largest state magnitude
+    gap = np.abs(states - expected).max(axis=(0, 2))
+    assert np.all(gap <= rel * np.abs(expected).max(axis=(0, 2))), gap
+
+
 def test_run_matches_manual_stepping(small_reservoir, small_params, rng):
-    # the layer-outer sweep of run must reproduce step's arithmetic bit for bit
     reservoirs = [
         small_reservoir,
         de.init_reservoir(dataclasses.replace(small_params, activation="saturating")),
@@ -240,11 +260,31 @@ def test_run_matches_manual_stepping(small_reservoir, small_params, rng):
     ]
     for r in reservoirs:
         u = rng.uniform(-1, 1, (17, r.params.input_dim))
-        traj = de.run(r, u)
-        state = de.zero_state(r.params)
-        for t in range(17):
-            state = de.step(r, state, u[t])
-            assert np.array_equal(traj.states[t], state)
+        _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 15, 16, 17, 1000, 1001])
+@pytest.mark.parametrize("activation, input_dim", [
+    ("linear", 1), ("linear", 2), ("saturating", 1), ("saturating", 2),
+])
+def test_run_matches_step_across_chunk_shapes(small_params, activation, input_dim, steps):
+    # the linear scan cuts ceil(sqrt(steps)) chunks: these lengths give one
+    # chunk, partial last chunks and exact squares
+    r = de.init_reservoir(dataclasses.replace(small_params, activation=activation,
+                                              input_dim=input_dim, seed=steps))
+    u = np.random.default_rng(steps).uniform(-1, 1, (steps, input_dim))
+    _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+
+
+@settings(max_examples=30, deadline=None)
+@given(layers=st.integers(1, 4), units=st.integers(1, 12), steps=st.integers(1, 300),
+       activation=st.sampled_from(rc.ACTIVATIONS), seed=st.integers(0, 2 ** 16))
+def test_run_matches_step_property(layers, units, steps, activation, seed):
+    p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9,
+                       activation=activation, seed=seed)
+    r = de.init_reservoir(p)
+    u = np.random.default_rng(seed).uniform(-1, 1, steps)
+    _assert_layers_close(de.run(r, u).states, _stepped(r, u))
 
 
 def test_concatenated_layout(small_reservoir, rng):
