@@ -8,10 +8,10 @@ Subcommands
 
 Artifacts are plain delimited text with documented headers and contain no
 timestamps, so identical configurations and seeds reproduce byte-identical
-files for the same BLAS thread count. Records are appended to
-``results.partial.csv`` as they complete (crash-safe); the final
-``results.csv`` is written in canonical configuration order once the sweep
-finishes. A single configuration is a one-point grid and takes the same path.
+files for the same BLAS thread count (``--workers`` above 1 runs it at one).
+Records are appended to ``results.partial.csv`` as they complete (crash-safe);
+the final ``results.csv`` is written in canonical configuration order once the
+sweep finishes. A single configuration is a one-point grid and takes the same path.
 
 The analyses (``spectrum``, ``verify-flat`` and ``run``'s
 ``--spectral-analysis``/``--equivalence-check``) use a linear reservoir at
@@ -99,9 +99,16 @@ class ExperimentConfig:
                 if self.ridge_lambda is not None:
                     _require_in_domain("ridge_lambda", self.ridge_lambda,
                                        GridSpec.ridge_lambdas)
-        if self.spectral_analysis and not 0 <= self.washout <= self.length - 2:
-            raise ValueError(f"spectral analysis needs 0 <= washout <= length - 2 (at least "
-                             f"2 analysis steps), got washout={self.washout}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.spectral_analysis:
+            _require_analysis_window(self.washout, self.length)
+
+
+def _require_analysis_window(washout: int, length: int) -> None:
+    if not 0 <= washout <= length - 2:
+        raise ValueError(f"spectral analysis needs 0 <= washout <= length - 2 (at least "
+                         f"2 analysis steps), got washout={washout}")
 
 
 def _require_in_domain(name: str, value: float, candidates: Sequence[float]) -> None:
@@ -386,7 +393,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                        help="single ridge value (default: sweep the full grid)")
     run_p.add_argument("--guesses", type=int, default=10)
     run_p.add_argument("--workers", type=int, default=1,
-                       help="grid pairs in parallel; pin BLAS to one thread with it")
+                       help="threads evaluating each grid point's guesses; BLAS runs at "
+                            "one thread while they do")
     run_p.add_argument("--equivalence-check", action="store_true")
     run_p.add_argument("--spectral-analysis", action="store_true")
     run_p.add_argument("--washout", type=int, default=100)
@@ -452,6 +460,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "run":
             return run_experiment(_config_from_args(args))
+        if args.command == "spectrum":
+            _require_analysis_window(args.washout, args.length)
         if args.command in ("spectrum", "verify-flat"):
             os.makedirs(args.out, exist_ok=True)
             params = _analysis_params(args.layers, args.units, args.seed, args.scale_in,

@@ -23,10 +23,15 @@ derives all input-scale variants from a single unit-scale run per
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import functools
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -230,105 +235,141 @@ def _error_record(scale: float, leak: float, rho: float, exc: Exception) -> Conf
     )
 
 
-def _guess_states(u: np.ndarray, grid: GridSpec, scale: float, leak: float,
-                  rho: float) -> list[np.ndarray]:
-    """Layered states of every guess of one configuration; guess g uses seed base_seed + g."""
-    params = HyperParams(grid.num_layers, grid.units_per_layer, 1, scale, leak, rho,
-                         grid.activation, 0)
-    return [run(init_reservoir(dataclasses.replace(params, seed=grid.base_seed + g)), u).states
-            for g in range(grid.guesses)]
+def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: GridSpec,
+                    leak: float, rho: float, scratch: threading.local, seed: int) -> list:
+    """One guess at every input scale: per scale, its (val, test) NRMSE rows or the exception.
 
-
-def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float,
-                   rho: float) -> list[tuple[float, list[ConfigResult]]]:
-    """All input-scale variants of one (leak, radius) grid point.
-
-    Linear activation: one unit-scale run per guess serves every input scale
-    through exact per-layer rescaling (layer i scales as scale**i). Other
+    Linear activation: one unit-scale run serves every input scale through
+    exact per-layer rescaling (layer i scales as scale**i), so a failed run
+    fails every scale; the rescaled states reuse one buffer per thread in
+    ``scratch``, as a fresh one per guess costs page faults. Other
     activations run each scale directly.
     """
-    u, targets = _signal_and_targets(task)
-    base_states = None
+    def states_at(scale: float) -> np.ndarray:
+        params = HyperParams(grid.num_layers, grid.units_per_layer, 1, scale, leak, rho,
+                             grid.activation, seed)
+        return run(init_reservoir(params), u).states
+
     if grid.activation == "linear":
         try:
-            base_states = _guess_states(u, grid, 1.0, leak, rho)
+            base = states_at(1.0)
         except Exception as exc:  # recorded per scale, excluded from selection
-            return [(scale, [_error_record(scale, leak, rho, exc)])
-                    for scale in grid.input_scales]
-
+            return [exc] * len(grid.input_scales)
+        if not hasattr(scratch, "states"):
+            scratch.states = np.empty_like(base)
     out = []
     for scale in grid.input_scales:
         try:
-            if base_states is None:
-                states = _guess_states(u, grid, scale, leak, rho)
-            else:
+            if grid.activation == "linear":
                 factors = (float(scale) ** np.arange(1, grid.num_layers + 1))[:, None]
-                states = (s * factors for s in base_states)
-            val = np.empty((grid.guesses, len(grid.ridge_lambdas)))
-            test = np.empty_like(val)
-            for g, guess_states in enumerate(states):
-                concat = guess_states.reshape(guess_states.shape[0], -1)
-                if not np.isfinite(concat).all():
-                    raise RuntimeError(
-                        f"non-finite reservoir states for input_scale={scale} leak_rate={leak} "
-                        f"spectral_radius={rho} seed={grid.base_seed + g}")
-                val[g], test[g] = _score_states(concat, targets, task.split,
-                                                grid.ridge_lambdas)
-            out.append((scale, _records_from_scores(scale, leak, rho,
-                                                    grid.ridge_lambdas, val, test)))
+                states = np.multiply(base, factors, out=scratch.states)
+            else:
+                states = states_at(scale)
+            concat = states.reshape(states.shape[0], -1)
+            if not np.isfinite(concat).all():
+                raise RuntimeError(
+                    f"non-finite reservoir states for input_scale={scale} leak_rate={leak} "
+                    f"spectral_radius={rho} seed={seed}")
+            out.append(_score_states(concat, targets, split, grid.ridge_lambdas))
         except Exception as exc:
-            out.append((scale, [_error_record(scale, leak, rho, exc)]))
+            out.append(exc)
     return out
+
+
+def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
+                   map_guesses: Callable = map) -> list[tuple[float, list[ConfigResult]]]:
+    """All input-scale variants of one (leak, radius) grid point.
+
+    ``map_guesses`` maps the per-guess evaluation over the seeds base_seed +
+    g in order. A scale with a failed guess yields one error record, carrying
+    the first failure in guess order.
+    """
+    u, targets = _signal_and_targets(task)
+    evaluate = functools.partial(_evaluate_guess, u, targets, task.split, grid, leak, rho,
+                                 threading.local())
+    per_guess = list(map_guesses(evaluate, range(grid.base_seed,
+                                                 grid.base_seed + grid.guesses)))
+    out = []
+    for k, scale in enumerate(grid.input_scales):
+        scores = [guess[k] for guess in per_guess]
+        failure = next((s for s in scores if isinstance(s, Exception)), None)
+        if failure is not None:
+            out.append((scale, [_error_record(scale, leak, rho, failure)]))
+            continue
+        val, test = (np.array(rows) for rows in zip(*scores))
+        out.append((scale, _records_from_scores(scale, leak, rho, grid.ridge_lambdas,
+                                                val, test)))
+    return out
+
+
+@contextlib.contextmanager
+def _guess_map(workers: int) -> Iterator[Callable]:
+    """The map over one pair's guesses: builtin ``map`` for one worker.
+
+    Otherwise a pool of ``workers`` threads, with numpy's OpenBLAS at one
+    thread while it runs (BLAS's own threads would compete with the pool's
+    for the cores), which gives the records of a one-thread serial sweep.
+    """
+    threads = _openblas_threads() if workers > 1 else None
+    if threads is None:
+        if workers > 1:
+            warnings.warn("cannot set numpy's BLAS thread count; the sweep runs serially",
+                          RuntimeWarning, stacklevel=4)
+        yield map
+        return
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            yield pool.map
+    finally:
+        set_threads(before)
+
+
+def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """Getter and setter of the thread count of numpy's bundled OpenBLAS, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
 
 
 def grid_search(task: MsoTask, grid: GridSpec, workers: int = 1,
                 on_result: Optional[Callable[[ConfigResult], None]] = None) -> ExperimentResult:
     """Exhaustive sweep over the grid with deterministic selection.
 
-    Work items are (leak, radius) pairs; each yields records for every
-    input scale and lambda. ``on_result`` is invoked once per record in
-    completion order (useful for crash-safe streaming); the returned
-    records are always in canonical (scale, leak, radius, lambda) order,
-    with candidate-list order breaking ties so selection is deterministic
-    regardless of worker scheduling. Failed combinations are recorded with
-    an error marker and excluded from selection.
-
-    ``workers > 1`` evaluates pairs in a process pool, which leaves BLAS at
-    its default thread count, so every worker competes for every core. Pin
-    BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) before using it: on a
-    2-core host, 4 pairs at 10x100 took 45.6 s with ``workers=2`` against
-    15.6 s serial, and 6.7 s with ``workers=2`` and one BLAS thread.
+    (leak, radius) pairs run in order; ``on_result`` gets each pair's records
+    as soon as it finishes (useful for crash-safe streaming). The returned
+    records are in canonical (scale, leak, radius, lambda) order and the
+    selection is the first minimum of the mean validation NRMSE. Failed
+    combinations are recorded with an error marker and excluded from
+    selection. ``workers > 1`` evaluates each pair's guesses in a pool of
+    that many threads, with numpy's OpenBLAS at one thread while it runs;
+    ``workers=1`` makes no pool and leaves BLAS alone.
     """
-    pairs = [(leak, rho) for leak in grid.leak_rates for rho in grid.spectral_radii]
-    # slot k * len(pairs) + p holds scale k of pair p: the canonical order
-    slots: list[list[ConfigResult]] = [[] for _ in range(len(grid.input_scales) * len(pairs))]
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    by_pair = []
+    with _guess_map(workers) as map_guesses:
+        for leak in grid.leak_rates:
+            for rho in grid.spectral_radii:
+                by_pair.append(_evaluate_pair(task, grid, leak, rho, map_guesses))
+                if on_result is not None:
+                    for _, recs in by_pair[-1]:
+                        for rec in recs:
+                            on_result(rec)
+    records = [rec for k in range(len(grid.input_scales))
+               for pair in by_pair for rec in pair[k][1]]
 
-    def store(p: int, output: list[tuple[float, list[ConfigResult]]]) -> None:
-        for k, (_, recs) in enumerate(output):
-            slots[k * len(pairs) + p] = recs
-            if on_result is not None:
-                for rec in recs:
-                    on_result(rec)
-
-    if min(workers, len(pairs)) <= 1:  # a one-pair grid gains nothing from a pool
-        for p, (leak, rho) in enumerate(pairs):
-            store(p, _evaluate_pair(task, grid, leak, rho))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_evaluate_pair, task, grid, leak, rho): p
-                       for p, (leak, rho) in enumerate(pairs)}
-            for fut in as_completed(futures):
-                store(futures[fut], fut.result())
-    records = [rec for recs in slots for rec in recs]
-
-    selected = None
-    failures = 0
-    for rec in records:
-        if rec.error is not None:
-            failures += 1
-            continue
-        if selected is None or rec.mean_val_nrmse < selected.mean_val_nrmse:
-            selected = rec
+    selected = min((rec for rec in records if rec.error is None),
+                   key=lambda rec: rec.mean_val_nrmse, default=None)
+    failures = sum(rec.error is not None for rec in records)
     return ExperimentResult(
         task_n=task.n, num_layers=grid.num_layers,
         units_per_layer=grid.units_per_layer, guesses=grid.guesses,

@@ -215,6 +215,22 @@ def test_run_rejects_washout_before_sweep(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_rejects_bad_worker_counts(tmp_path, capsys, monkeypatch, workers):
+    from deepesn import cli as cli_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli_mod, "grid_search", no_sweep)
+    out = tmp_path / "workers"
+    code = main(["run", "--task", "mso5", "--grid", "--layers", "1", "--units", "2",
+                 "--guesses", "1", "--workers", workers, "--out", str(out)])
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_config_file_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tusk": 5}))
@@ -289,6 +305,21 @@ def test_spectrum_command(tmp_path):
     assert echo["command"] == "spectrum"
     assert (echo["scale_in"], echo["leak"], echo["rho"]) == ANALYSIS_POINT
     assert "mode" not in echo and "workers" not in echo
+
+
+def test_spectrum_rejects_washout_before_simulating(tmp_path, capsys, monkeypatch):
+    from deepesn import cli as cli_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("no guess may be simulated")
+
+    monkeypatch.setattr(cli_mod, "run", no_run)
+    out = tmp_path / "spec"
+    code = main(["spectrum", "--guesses", "20", "--washout", "5000", "--out", str(out)])
+    assert code == 2
+    assert "washout" in capsys.readouterr().err
+    assert not (out / "spectra.csv").exists()
+    assert not (out / "config.echo").exists()
 
 
 # ----------------------------------------------------------- run_experiment API

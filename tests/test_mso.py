@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -279,19 +281,120 @@ def test_grid_search_records_failures_and_excludes_them():
 
 
 def test_grid_search_parallel_matches_serial():
-    serial = de.grid_search(de.MsoTask(5), TINY_GRID, workers=1)
-    parallel = de.grid_search(de.MsoTask(5), TINY_GRID, workers=2)
-    assert serial.records == parallel.records
-    assert serial.selected == parallel.selected
+    one_pair = dataclasses.replace(TINY_GRID, spectral_radii=(0.7,))
+    for grid, workers in ((TINY_GRID, 2), (one_pair, 2), (TINY_GRID, 3)):
+        serial = de.grid_search(de.MsoTask(5), grid, workers=1)
+        parallel = de.grid_search(de.MsoTask(5), grid, workers=workers)
+        assert serial.records == parallel.records
+        assert serial.selected == parallel.selected
 
 
 def test_grid_search_streams_records():
-    # serial and pool runs deliver records through the same path
+    # serial and pool runs deliver records through the same path, pair by pair
+    pairs = [(0.9, 0.7), (0.9, 0.9)]
     for workers in (1, 2):
         seen = []
         result = de.grid_search(de.MsoTask(5), TINY_GRID, workers=workers,
                                 on_result=seen.append)
-        assert sorted(map(repr, seen)) == sorted(map(repr, result.records))
+        assert seen == [r for pair in pairs for r in result.records
+                        if (r.leak_rate, r.spectral_radius) == pair]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_grid_search_rejects_bad_worker_counts(workers):
+    with pytest.raises(ValueError, match="workers"):
+        de.grid_search(de.MsoTask(5), TINY_GRID, workers=workers)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_grid_search_failures_match_across_worker_counts(monkeypatch):
+    # seed 9 fails to initialise at rho 0.9, which fails every scale of that
+    # pair; seed 8 gets one state of 1e308 inside the washout, finite at scale
+    # 0.1 but not at scale 10, where it is the first failure in guess order
+    real_init, real_run = mso.init_reservoir, mso.run
+
+    def init_reservoir(params):
+        if params.seed == 9 and params.spectral_radius_target == 0.9:
+            raise ValueError("injected failure")
+        return real_init(params)
+
+    def run(res, u):
+        states = real_run(res, u).states
+        if res.params.seed == 8:
+            states = states.copy()
+            states[0, 0, 0] = 1e308
+        return de.StateTrajectory(states)
+
+    monkeypatch.setattr(mso, "init_reservoir", init_reservoir)
+    monkeypatch.setattr(mso, "run", run)
+    grid = dataclasses.replace(TINY_GRID, input_scales=(0.1, 10.0), guesses=3)
+    serial = de.grid_search(de.MsoTask(5), grid, workers=1)
+    parallel = de.grid_search(de.MsoTask(5), grid, workers=2)
+    assert repr(serial.records) == repr(parallel.records)  # error records hold NaN
+    errors = {(r.input_scale, r.spectral_radius): r.error
+              for r in serial.records if r.error is not None}
+    assert errors == {
+        (0.1, 0.9): "ValueError: injected failure",
+        (10.0, 0.7): "RuntimeError: non-finite reservoir states for input_scale=10.0 "
+                     "leak_rate=0.9 spectral_radius=0.7 seed=8",
+        (10.0, 0.9): "RuntimeError: non-finite reservoir states for input_scale=10.0 "
+                     "leak_rate=0.9 spectral_radius=0.9 seed=8",
+    }
+    assert serial.failures == 3
+    assert serial.selected.input_scale == 0.1
+    assert serial.selected.spectral_radius == 0.7
+
+
+
+def test_grid_search_threads_keep_their_buffers():
+    # more threads than cores and a short switch interval: a rescaled-state
+    # buffer shared between threads would corrupt records
+    grid = dataclasses.replace(TINY_GRID, num_layers=3, units_per_layer=40, guesses=8)
+    calm = de.grid_search(de.MsoTask(5), grid, workers=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = de.grid_search(de.MsoTask(5), grid, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stressed.records == calm.records
+
+def test_grid_search_restores_blas_threads():
+    threads = mso._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread-count setter")
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(2)
+    try:
+        seen = []
+        de.grid_search(de.MsoTask(5), TINY_GRID, workers=1,
+                       on_result=lambda rec: seen.append(get_threads()))
+        assert set(seen) == {2}  # a serial sweep leaves BLAS alone
+        seen.clear()
+        de.grid_search(de.MsoTask(5), TINY_GRID, workers=2,
+                       on_result=lambda rec: seen.append(get_threads()))
+        assert set(seen) == {1}
+        assert get_threads() == 2
+
+        def interrupt(rec):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            de.grid_search(de.MsoTask(5), TINY_GRID, workers=2, on_result=interrupt)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
+    serial = de.grid_search(de.MsoTask(5), TINY_GRID, workers=1)
+    monkeypatch.setattr(mso, "_openblas_threads", lambda: None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        parallel = de.grid_search(de.MsoTask(5), TINY_GRID, workers=2)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert parallel.records == serial.records
 
 
 def test_grid_search_saturating_fallback():
