@@ -8,7 +8,13 @@ Subcommands
 
 Artifacts are plain delimited text with documented headers and contain no
 timestamps, so identical configurations and seeds reproduce byte-identical
-files for the same BLAS thread count (``--workers`` above 1 runs it at one).
+files. ``run`` sweeps each grid point's guesses on ``--workers`` threads (default:
+one per usable core, at most ``--guesses``) with numpy's OpenBLAS at one
+thread, so its files are the same for any worker count and BLAS setting; peak
+memory grows with the worker count, and ``--workers 1`` is the low-memory
+setting. The analyses run their guesses serially: their cold weight
+initialisation is bound by dense eigenvalue solves, which do not speed up
+across threads.
 Records are appended to ``results.partial.csv`` as they complete (crash-safe);
 the final ``results.csv`` is written in canonical configuration order once the
 sweep finishes. A single configuration is a one-point grid and takes the same path.
@@ -72,7 +78,7 @@ class ExperimentConfig:
     ridge_lambda: Optional[float] = None
     guesses: int = 10
     base_seed: int = 0
-    workers: int = 1
+    workers: Optional[int] = None    # None: one per usable core
     equivalence_check: bool = False
     spectral_analysis: bool = False
     washout: int = 100
@@ -99,7 +105,7 @@ class ExperimentConfig:
                 if self.ridge_lambda is not None:
                     _require_in_domain("ridge_lambda", self.ridge_lambda,
                                        GridSpec.ridge_lambdas)
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.spectral_analysis:
             _require_analysis_window(self.washout, self.length)
@@ -392,9 +398,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run_p.add_argument("--lambda", type=float, dest="ridge_lambda",
                        help="single ridge value (default: sweep the full grid)")
     run_p.add_argument("--guesses", type=int, default=10)
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="threads evaluating each grid point's guesses; BLAS runs at "
-                            "one thread while they do")
+    run_p.add_argument("--workers", type=int, default=None,
+                       help="threads evaluating each grid point's guesses (default: one per "
+                            "usable core, at most --guesses); BLAS runs at one thread "
+                            "throughout, so the files do not depend on it; memory grows "
+                            "with the count, 1 uses the least")
     run_p.add_argument("--equivalence-check", action="store_true")
     run_p.add_argument("--spectral-analysis", action="store_true")
     run_p.add_argument("--washout", type=int, default=100)

@@ -27,6 +27,7 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
+import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -197,14 +198,19 @@ class ExperimentResult:
         return self.selected.mean_test_nrmse
 
 
-def _score_states(concat: np.ndarray, targets: np.ndarray, split: SplitSpec,
-                  lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Validation and test NRMSE per lambda for one guess's state matrix."""
-    fits = fit_ridge_sweep(concat[split.fit_slice], targets[split.fit_slice], lambdas)
-    val_sl, test_sl = split.validation_slice, split.test_slice
-    val = np.array([nrmse(predict(f, concat[val_sl])[:, 0], targets[val_sl]) for f in fits])
-    test = np.array([nrmse(predict(f, concat[test_sl])[:, 0], targets[test_sl]) for f in fits])
-    return val, test
+def _score_states(rows: Callable[[slice], np.ndarray], targets: np.ndarray,
+                  split: SplitSpec, lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Validation and test NRMSE per lambda for one guess.
+
+    ``rows(sl)`` returns the guess's concatenated states on the steps ``sl``;
+    each matrix it returns is used up before the next call.
+    """
+    fits = fit_ridge_sweep(rows(split.fit_slice), targets[split.fit_slice], lambdas)
+    scores = []
+    for sl in (split.validation_slice, split.test_slice):
+        states = rows(sl)
+        scores.append(np.array([nrmse(predict(f, states)[:, 0], targets[sl]) for f in fits]))
+    return scores[0], scores[1]
 
 
 def _records_from_scores(scale: float, leak: float, rho: float,
@@ -241,8 +247,12 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
 
     Linear activation: one unit-scale run serves every input scale through
     exact per-layer rescaling (layer i scales as scale**i), so a failed run
-    fails every scale; the rescaled states reuse one buffer per thread in
-    ``scratch``, as a fresh one per guess costs page faults. Other
+    fails every scale. Only the rows being scored are rescaled, one split
+    range at a time, into a buffer per thread in ``scratch`` (a fresh one per
+    guess costs page faults), so a guess holds its states plus one range.
+    Every state is checked to be finite at every scale before any fit: the
+    largest magnitude per layer times that layer's factor overflows exactly
+    when some state's product does, as rounding is monotone. Other
     activations run each scale directly.
     """
     def states_at(scale: float) -> np.ndarray:
@@ -250,30 +260,43 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
                              grid.activation, seed)
         return run(init_reservoir(params), u).states
 
-    if grid.activation == "linear":
+    linear = grid.activation == "linear"
+    if linear:
         try:
             base = states_at(1.0)
         except Exception as exc:  # recorded per scale, excluded from selection
             return [exc] * len(grid.input_scales)
-        if not hasattr(scratch, "states"):
-            scratch.states = np.empty_like(base)
+        peak = np.maximum(base.max(axis=0), -base.min(axis=0)).max(axis=1)  # per layer
+        if not hasattr(scratch, "rows"):
+            longest = max(sl.stop - sl.start for sl in
+                          (split.fit_slice, split.validation_slice, split.test_slice))
+            scratch.rows = np.empty((longest,) + base.shape[1:])
     out = []
     for scale in grid.input_scales:
         try:
-            if grid.activation == "linear":
-                factors = (float(scale) ** np.arange(1, grid.num_layers + 1))[:, None]
-                states = np.multiply(base, factors, out=scratch.states)
+            if linear:
+                factors = float(scale) ** np.arange(1, grid.num_layers + 1)
+                finite = np.isfinite(peak * factors).all()
+                rows = functools.partial(_rescaled_rows, base, factors[:, None], scratch.rows)
             else:
                 states = states_at(scale)
-            concat = states.reshape(states.shape[0], -1)
-            if not np.isfinite(concat).all():
+                finite = np.isfinite(states).all()
+                rows = states.reshape(len(states), -1).__getitem__
+            if not finite:
                 raise RuntimeError(
                     f"non-finite reservoir states for input_scale={scale} leak_rate={leak} "
                     f"spectral_radius={rho} seed={seed}")
-            out.append(_score_states(concat, targets, split, grid.ridge_lambdas))
+            out.append(_score_states(rows, targets, split, grid.ridge_lambdas))
         except Exception as exc:
             out.append(exc)
     return out
+
+
+def _rescaled_rows(base: np.ndarray, factors: np.ndarray, buffer: np.ndarray,
+                   sl: slice) -> np.ndarray:
+    """Concatenated states of steps ``sl``, layer i times ``factors[i]``, in ``buffer``."""
+    block = base[sl]
+    return np.multiply(block, factors, out=buffer[: len(block)]).reshape(len(block), -1)
 
 
 def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
@@ -303,28 +326,62 @@ def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
 
 
 @contextlib.contextmanager
-def _guess_map(workers: int) -> Iterator[Callable]:
-    """The map over one pair's guesses: builtin ``map`` for one worker.
+def _guess_map(workers: Optional[int], guesses: int) -> Iterator[Callable]:
+    """The map over one pair's guesses, with numpy's OpenBLAS at one thread.
 
-    Otherwise a pool of ``workers`` threads, with numpy's OpenBLAS at one
-    thread while it runs (BLAS's own threads would compete with the pool's
-    for the cores), which gives the records of a one-thread serial sweep.
+    ``workers=None`` means one thread per usable core, at most ``guesses``.
+    One worker maps with builtin ``map``; more map in a pool of that many
+    threads. BLAS runs at one thread for every worker count (its own threads
+    would compete with the pool's for the cores, and its results depend on
+    its thread count), so the records are the same for any worker count and
+    any ``OPENBLAS_NUM_THREADS``. Without the OpenBLAS symbols the sweep runs
+    serially and leaves BLAS alone, with a warning if workers were asked for.
     """
-    threads = _openblas_threads() if workers > 1 else None
+    threads = _openblas_threads()
     if threads is None:
-        if workers > 1:
+        if workers is not None and workers > 1:
             warnings.warn("cannot set numpy's BLAS thread count; the sweep runs serially",
                           RuntimeWarning, stacklevel=4)
         yield map
         return
+    if workers is None:
+        workers = min(_usable_cores(), guesses)
     get_threads, set_threads = threads
     before = get_threads()
     set_threads(1)
     try:
-        with ThreadPoolExecutor(workers) as pool:
-            yield pool.map
+        if workers == 1:
+            yield map
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                yield pool.map
+            _release_free_memory()
     finally:
         set_threads(before)
+
+
+def _release_free_memory() -> None:
+    """Return the C heap's free pages to the system (glibc; elsewhere a no-op).
+
+    Each pool thread allocates from its own glibc arena, which keeps the
+    freed states and fit buffers of its guesses resident after the thread
+    exits, where no other thread reuses them. After a pooled 10x100 sweep
+    this returns 6 to 23 MB; an arena's free top chunk stays, as glibc trims
+    it only on a free.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
@@ -340,7 +397,7 @@ def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], Non
     return get_threads, set_threads
 
 
-def grid_search(task: MsoTask, grid: GridSpec, workers: int = 1,
+def grid_search(task: MsoTask, grid: GridSpec, workers: Optional[int] = None,
                 on_result: Optional[Callable[[ConfigResult], None]] = None) -> ExperimentResult:
     """Exhaustive sweep over the grid with deterministic selection.
 
@@ -349,14 +406,17 @@ def grid_search(task: MsoTask, grid: GridSpec, workers: int = 1,
     records are in canonical (scale, leak, radius, lambda) order and the
     selection is the first minimum of the mean validation NRMSE. Failed
     combinations are recorded with an error marker and excluded from
-    selection. ``workers > 1`` evaluates each pair's guesses in a pool of
-    that many threads, with numpy's OpenBLAS at one thread while it runs;
-    ``workers=1`` makes no pool and leaves BLAS alone.
+    selection. Each pair's guesses are evaluated by ``workers`` threads
+    (default: one per usable core, at most ``grid.guesses``; ``workers=1``
+    makes no pool), with numpy's OpenBLAS at one thread for the whole sweep,
+    so the records are the same for every worker count and BLAS setting.
+    Every thread holds one guess's states and fit, so peak memory grows with
+    ``workers`` and ``workers=1`` is the low-memory setting.
     """
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     by_pair = []
-    with _guess_map(workers) as map_guesses:
+    with _guess_map(workers, grid.guesses) as map_guesses:
         for leak in grid.leak_rates:
             for rho in grid.spectral_radii:
                 by_pair.append(_evaluate_pair(task, grid, leak, rho, map_guesses))

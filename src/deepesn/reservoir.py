@@ -120,9 +120,13 @@ def zero_state(params: HyperParams) -> np.ndarray:
 
 
 def effective_matrix(recurrent: np.ndarray, leak_rate: float) -> np.ndarray:
-    """The matrix (1-a) I + a What driving a layer's autonomous dynamics."""
-    n = recurrent.shape[0]
-    return (1.0 - leak_rate) * np.eye(n) + leak_rate * recurrent
+    """The matrix (1-a) I + a What driving a layer's autonomous dynamics.
+
+    Built in one buffer: ``a What`` with ``1 - a`` added on the diagonal.
+    """
+    m = leak_rate * np.asarray(recurrent, dtype=float)
+    m.flat[:: m.shape[0] + 1] += 1.0 - leak_rate
+    return m
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -160,26 +164,31 @@ def _inter_raw(seed: int, layer: int, n_units: int) -> np.ndarray:
     return _substream(seed, (_STREAM_INTER, layer)).uniform(-1.0, 1.0, (n_units, n_units))
 
 
+def _recurrent_raw(seed: int, layer: int, n_units: int, attempt: int) -> np.ndarray:
+    """Unit-scale recurrent draw, substream (2, layer, attempt)."""
+    g = _substream(seed, (_STREAM_RECURRENT, layer, attempt))
+    return g.uniform(-1.0, 1.0, (n_units, n_units))
+
+
 @lru_cache(maxsize=256)
 def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
-    """Recurrent base for a layer: unit-spectral-radius matrix plus eigenvalues.
+    """Spectral radius and normalized eigenvalues of a layer's recurrent draw.
 
-    Draws uniform on [-1, 1] from substream (2, layer, attempt) and divides by
-    the draw's spectral radius, so the base always has spectral radius 1 and
-    the leak term keeps its intended weight in the effective matrix. Returns
-    ``None`` when the raw draw itself is unscalable (radius ~ 0).
+    The base matrix is the uniform draw on [-1, 1] of ``_recurrent_raw``
+    divided by the draw's spectral radius ``rho_raw``, so it always has
+    spectral radius 1 and the leak term keeps its intended weight in the
+    effective matrix. Returns ``(rho_raw, eigvals / rho_raw)``, or ``None``
+    when the raw draw itself is unscalable (radius ~ 0).
 
-    Eigenvalues are cached alongside the matrix: the effective spectral
-    radius for any leak rate follows from them without another dense solve.
+    Only the eigenvalues are cached, about 16 bytes per unit: they give the
+    effective spectral radius for any leak rate without another dense solve,
+    which costs far more than drawing the matrix again.
     """
-    g = _substream(seed, (_STREAM_RECURRENT, layer, attempt))
-    raw = g.uniform(-1.0, 1.0, (n_units, n_units))
-    eigvals = np.linalg.eigvals(raw)
+    eigvals = np.linalg.eigvals(_recurrent_raw(seed, layer, n_units, attempt))
     rho_raw = float(np.max(np.abs(eigvals)))
     if rho_raw < MIN_SCALABLE_RADIUS:
         return None
-    base = raw / rho_raw
-    return _readonly(base), _readonly(eigvals / rho_raw)
+    return rho_raw, _readonly(eigvals / rho_raw)
 
 
 def _scaled_recurrent(seed: int, layer: int, n_units: int, leak_rate: float,
@@ -188,21 +197,26 @@ def _scaled_recurrent(seed: int, layer: int, n_units: int, leak_rate: float,
 
     Rescaling acts on the effective matrix: with M = (1-a) I + a base,
     the result is What = (M * rho_target / rho(M) - (1-a) I) / a. The
-    spectral radius of M is evaluated from the cached base eigenvalues.
+    spectral radius of M is evaluated from the cached base eigenvalues, and
+    every step works in place on the redrawn matrix.
     """
     a = leak_rate
     for attempt in range(MAX_DRAW_ATTEMPTS):
         cached = _recurrent_base(seed, layer, n_units, attempt)
         if cached is None:
             continue
-        base, base_eigvals = cached
+        rho_raw, base_eigvals = cached
         rho_eff = float(np.max(np.abs((1.0 - a) + a * base_eigvals)))
         if rho_eff < MIN_SCALABLE_RADIUS:
             continue
-        eye = np.eye(n_units)
-        m = (1.0 - a) * eye + a * base
-        m_scaled = m * (rho_target / rho_eff)
-        return (m_scaled - (1.0 - a) * eye) / a
+        m = _recurrent_raw(seed, layer, n_units, attempt)
+        m /= rho_raw
+        m *= a
+        m.flat[:: n_units + 1] += 1.0 - a
+        m *= rho_target / rho_eff
+        m.flat[:: n_units + 1] -= 1.0 - a
+        m /= a
+        return m
     raise UnscalableMatrixError(
         f"layer {layer}: effective matrix spectral radius below "
         f"{MIN_SCALABLE_RADIUS} for {MAX_DRAW_ATTEMPTS} consecutive draws "

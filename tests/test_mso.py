@@ -1,7 +1,11 @@
 import dataclasses
+import functools
 import math
 import sys
+import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -212,6 +216,27 @@ def test_grid_search_nonfinite_states_diagnostic():
     assert "spectral_radius=50.0" in error
 
 
+def test_linear_guess_memory_is_states_plus_a_few_ranges():
+    # a 10x100 guess holds its states (1000 steps), one rescaled 300-step
+    # range and the fit's factors: about four ranges. A full-size rescaled
+    # copy of the states would add 3.3 ranges more.
+    task = de.MsoTask(5)
+    grid = de.GridSpec(10, 100, leak_rates=(0.9,), spectral_radii=(0.7,), guesses=1)
+    u, targets = _signal_and_targets(task)
+    evaluate = functools.partial(mso._evaluate_guess, u, targets, task.split, grid, 0.9, 0.7)
+    evaluate(threading.local(), 3)  # fills the eigenvalue cache
+    tracemalloc.start()
+    try:
+        scores = evaluate(threading.local(), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(s, Exception) for s in scores)
+    states = task.length * grid.num_layers * grid.units_per_layer * 8
+    fit_range = states * 300 // task.length
+    assert peak < states + 5 * fit_range
+
+
 def test_grid_spec_rejects_zero_guesses():
     with pytest.raises(ValueError):
         de.GridSpec(num_layers=2, units_per_layer=6, guesses=0)
@@ -367,15 +392,12 @@ def test_grid_search_restores_blas_threads():
     before = get_threads()
     set_threads(2)
     try:
-        seen = []
-        de.grid_search(de.MsoTask(5), TINY_GRID, workers=1,
-                       on_result=lambda rec: seen.append(get_threads()))
-        assert set(seen) == {2}  # a serial sweep leaves BLAS alone
-        seen.clear()
-        de.grid_search(de.MsoTask(5), TINY_GRID, workers=2,
-                       on_result=lambda rec: seen.append(get_threads()))
-        assert set(seen) == {1}
-        assert get_threads() == 2
+        for workers in (1, 2, None):  # serial sweeps pin BLAS too
+            seen = []
+            de.grid_search(de.MsoTask(5), TINY_GRID, workers=workers,
+                           on_result=lambda rec: seen.append(get_threads()))
+            assert set(seen) == {1}
+            assert get_threads() == 2
 
         def interrupt(rec):
             raise KeyboardInterrupt
@@ -387,6 +409,47 @@ def test_grid_search_restores_blas_threads():
         set_threads(before)
 
 
+def test_grid_search_records_match_across_workers_at_two_blas_threads():
+    # BLAS results depend on its thread count once its products are large
+    # enough to split (4x50 is; TINY_GRID is not); the sweep pins one thread
+    # for every worker count, so serial and pool write the same records
+    threads = mso._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread-count setter")
+    grid = dataclasses.replace(TINY_GRID, num_layers=4, units_per_layer=50)
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(2)
+    try:
+        serial = de.grid_search(de.MsoTask(5), grid, workers=1)
+        assert get_threads() == 2
+        pooled = de.grid_search(de.MsoTask(5), grid, workers=2)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+    assert repr(serial.records) == repr(pooled.records)
+
+
+def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
+    if mso._openblas_threads() is None:
+        pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(mso, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mso, "_usable_cores", lambda: 8)
+    capped = de.grid_search(de.MsoTask(5), TINY_GRID)       # at most one per guess
+    assert pools == [TINY_GRID.guesses]
+    monkeypatch.setattr(mso, "_usable_cores", lambda: 1)
+    single = de.grid_search(de.MsoTask(5), TINY_GRID)       # builtin map, no pool
+    assert pools == [TINY_GRID.guesses]
+    assert repr(capped.records) == repr(single.records)
+
+
 def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
     serial = de.grid_search(de.MsoTask(5), TINY_GRID, workers=1)
     monkeypatch.setattr(mso, "_openblas_threads", lambda: None)
@@ -395,6 +458,11 @@ def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
         parallel = de.grid_search(de.MsoTask(5), TINY_GRID, workers=2)
     assert [w.category for w in caught] == [RuntimeWarning]
     assert parallel.records == serial.records
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        default = de.grid_search(de.MsoTask(5), TINY_GRID)
+    assert caught == []  # only an explicit worker count warns
+    assert default.records == serial.records
 
 
 def test_grid_search_saturating_fallback():

@@ -157,6 +157,23 @@ def test_unscalable_retry_uses_next_substream(monkeypatch, small_params):
     assert de.spectral_radius(eff) == pytest.approx(0.7, rel=1e-10)
 
 
+def test_recurrent_cache_holds_eigenvalues_only():
+    # a cold and a warm build agree bit for bit, and an entry costs about 16
+    # bytes per unit: caching the N x N base would pin 256 of them
+    params = de.HyperParams(2, 40, 1, 0.5, 0.7, 0.9, "linear", 31)
+    rc._recurrent_base.cache_clear()
+    cold = de.init_reservoir(params)
+    warm = de.init_reservoir(params)
+    assert rc._recurrent_base.cache_info().hits == params.num_layers
+    for x, y in zip(cold.recurrent_weights + cold.inter_layer_weights,
+                    warm.recurrent_weights + warm.inter_layer_weights):
+        assert x.tobytes() == y.tobytes()
+    entry = rc._recurrent_base(params.seed, 1, params.units_per_layer, 0)
+    arrays = [x for x in entry if isinstance(x, np.ndarray)]
+    assert all(x.ndim == 1 for x in arrays)
+    assert sum(x.nbytes for x in arrays) <= 16 * params.units_per_layer
+
+
 def test_weight_arrays_are_readonly(small_reservoir):
     with pytest.raises(ValueError):
         small_reservoir.input_weights[0, 0] = 1.0
