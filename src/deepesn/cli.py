@@ -8,11 +8,11 @@ Subcommands
 
 Artifacts are plain delimited text with documented headers and contain no
 timestamps, so identical configurations and seeds reproduce byte-identical
-files. ``run`` sweeps each grid point's guesses on ``--workers`` threads (default:
-one per usable core, at most ``--guesses``) with numpy's OpenBLAS at one
-thread, so its files are the same for any worker count and BLAS setting; peak
-memory grows with the worker count, and ``--workers 1`` is the low-memory
-setting. The analyses run their guesses serially: their cold weight
+files. ``run`` sweeps each grid point's guesses on one thread per usable core
+(``taskset``/``sched_setaffinity`` set which), at most ``--guesses``, with
+numpy's OpenBLAS at one thread, so its files are the same for any core count
+and BLAS setting; peak memory grows with the thread count, and ``taskset -c 0``
+gives the low-memory run. The analyses run their guesses serially: their cold weight
 initialisation is bound by dense eigenvalue solves, which do not speed up
 across threads.
 Records are appended to ``results.partial.csv`` as they complete (crash-safe);
@@ -45,7 +45,7 @@ from .flat import verify_equivalence
 from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, generate_mso,
                   grid_search)
 from .reservoir import HyperParams, init_reservoir, run
-from .spectral import SpectrumReport, layer_spectra, spike_metrics
+from .spectral import layer_spectra, spike_metrics
 
 _RESULT_COLUMNS = (
     "task", "model", "num_layers", "units_per_layer", "input_scale",
@@ -78,7 +78,6 @@ class ExperimentConfig:
     ridge_lambda: Optional[float] = None
     guesses: int = 10
     base_seed: int = 0
-    workers: Optional[int] = None    # None: one per usable core
     equivalence_check: bool = False
     spectral_analysis: bool = False
     washout: int = 100
@@ -105,8 +104,6 @@ class ExperimentConfig:
                 if self.ridge_lambda is not None:
                     _require_in_domain("ridge_lambda", self.ridge_lambda,
                                        GridSpec.ridge_lambdas)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.spectral_analysis:
             _require_analysis_window(self.washout, self.length)
 
@@ -164,14 +161,22 @@ def _grid_spec(config: ExperimentConfig, layers: int, units: int) -> GridSpec:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Execute the configured pipeline and persist all artifacts."""
-    out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "config.echo"), dataclasses.asdict(config))
+    """Execute the configured pipeline and persist all artifacts.
 
+    The task, every model's grid and the analyses' reservoir are built, and so
+    checked, before anything is written.
+    """
     task = MsoTask(n=config.task_n, length=config.length)
     models = ("deep", "shallow") if config.model == "both" else (config.model,)
     dims = {model: _model_dims(config, model) for model in models}
+    grids = {model: _grid_spec(config, *dims[model]) for model in models}
+    if config.equivalence_check or config.spectral_analysis:
+        params = _analysis_params(*dims[models[0]], config.base_seed, config.input_scale,
+                                  config.leak_rate, config.spectral_radius)
+
+    out = config.out_dir
+    os.makedirs(out, exist_ok=True)
+    _write_json(os.path.join(out, "config.echo"), dataclasses.asdict(config))
 
     partial_path = os.path.join(out, "results.partial.csv")
     results: dict[str, ExperimentResult] = {}
@@ -185,8 +190,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                     writer.writerow(_result_row(task.n, model, layers, units, rec))
                     partial.flush()
 
-                results[model] = grid_search(task, _grid_spec(config, layers, units),
-                                             workers=config.workers, on_result=stream)
+                results[model] = grid_search(task, grids[model], on_result=stream)
     except Exception as exc:
         with open(os.path.join(out, "failures.txt"), "w") as fh:
             fh.write(f"{type(exc).__name__}: {exc}\n")
@@ -213,14 +217,10 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     _write_summary(os.path.join(out, "summary.txt"), task, config, models, results)
 
-    if config.equivalence_check or config.spectral_analysis:
-        params = _analysis_params(*dims[models[0]], config.base_seed, config.input_scale,
-                                  config.leak_rate, config.spectral_radius)
-        if config.equivalence_check:
-            _write_equivalence(os.path.join(out, "equivalence.txt"), task.n, params)
-        if config.spectral_analysis:
-            _write_spectra(out, task.n, config.length, params, config.guesses,
-                           config.washout)
+    if config.equivalence_check:
+        _write_equivalence(os.path.join(out, "equivalence.txt"), task.n, params)
+    if config.spectral_analysis:
+        _write_spectra(out, task.n, config.length, params, config.guesses, config.washout)
 
     if any(results[m].selected is None for m in models):
         print("error: experiment: no configuration evaluated successfully",
@@ -319,7 +319,12 @@ def _write_spectra(out: str, task_n: int, length: int, params: HyperParams, gues
     trajectories = [run(init_reservoir(dataclasses.replace(params, seed=params.seed + g)), u)
                     for g in range(guesses)]
     report = layer_spectra(trajectories, washout, params=params)
-    emit_plot_data(report, os.path.join(out, "spectra.csv"))
+    with open(os.path.join(out, "spectra.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "frequency", "magnitude"])
+        for layer in range(report.num_layers):
+            for freq, mag in zip(report.freq_bins, report.per_layer[layer]):
+                writer.writerow([str(layer + 1), _format_float(freq), _format_float(mag)])
     metrics = spike_metrics(report, phis)
     with open(os.path.join(out, "spikes.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -328,28 +333,6 @@ def _write_spectra(out: str, task_n: int, length: int, params: HyperParams, gues
         for layer in range(report.num_layers):
             writer.writerow([str(layer + 1), _format_float(metrics.filtering_ratio[layer])]
                             + [_format_float(v) for v in metrics.magnitudes[layer]])
-
-
-def emit_plot_data(artifact, path) -> None:
-    """Write plot-ready delimited text for a spectrum report or a signal.
-
-    Spectrum reports become (layer, frequency, magnitude) rows; 1-D arrays
-    become (time, value) rows with time starting at 1.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if isinstance(artifact, SpectrumReport):
-            writer.writerow(["layer", "frequency", "magnitude"])
-            for layer in range(artifact.per_layer.shape[0]):
-                for freq, mag in zip(artifact.freq_bins, artifact.per_layer[layer]):
-                    writer.writerow([str(layer + 1), _format_float(freq),
-                                     _format_float(mag)])
-        elif isinstance(artifact, np.ndarray) and artifact.ndim == 1:
-            writer.writerow(["time", "value"])
-            for t, value in enumerate(artifact, start=1):
-                writer.writerow([str(t), _format_float(value)])
-        else:
-            raise TypeError(f"cannot emit plot data for {type(artifact).__name__}")
 
 
 def _parse_task(text: str) -> int:
@@ -398,11 +381,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run_p.add_argument("--lambda", type=float, dest="ridge_lambda",
                        help="single ridge value (default: sweep the full grid)")
     run_p.add_argument("--guesses", type=int, default=10)
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="threads evaluating each grid point's guesses (default: one per "
-                            "usable core, at most --guesses); BLAS runs at one thread "
-                            "throughout, so the files do not depend on it; memory grows "
-                            "with the count, 1 uses the least")
     run_p.add_argument("--equivalence-check", action="store_true")
     run_p.add_argument("--spectral-analysis", action="store_true")
     run_p.add_argument("--washout", type=int, default=100)
@@ -440,7 +418,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         units_per_layer=args.units, input_scale=args.scale_in,
         leak_rate=args.leak, spectral_radius=args.rho,
         ridge_lambda=args.ridge_lambda, guesses=args.guesses,
-        base_seed=args.seed, workers=args.workers,
+        base_seed=args.seed,
         equivalence_check=args.equivalence_check,
         spectral_analysis=args.spectral_analysis, washout=args.washout,
         allow_custom=args.allow_custom,
@@ -490,7 +468,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             signal, _ = _mso_signal(args.task, args.length)
             if args.excerpt is not None:
                 signal = signal[: args.excerpt]
-            emit_plot_data(signal, os.path.join(args.out, "signal.csv"))
+            with open(os.path.join(args.out, "signal.csv"), "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["time", "value"])
+                for t, value in enumerate(signal, start=1):
+                    writer.writerow([str(t), _format_float(value)])
             return 0
     except (ValueError, OSError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)

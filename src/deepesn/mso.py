@@ -29,7 +29,6 @@ import dataclasses
 import functools
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -326,36 +325,26 @@ def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
 
 
 @contextlib.contextmanager
-def _guess_map(workers: Optional[int], guesses: int) -> Iterator[Callable]:
-    """The map over one pair's guesses, with numpy's OpenBLAS at one thread.
+def _guess_map(guesses: int) -> Iterator[Callable]:
+    """The map over one pair's guesses: one thread per usable core, at most ``guesses``.
 
-    ``workers=None`` means one thread per usable core, at most ``guesses``.
-    One worker maps with builtin ``map``; more map in a pool of that many
-    threads. BLAS runs at one thread for every worker count (its own threads
+    The threads run with numpy's OpenBLAS at one thread (its own threads
     would compete with the pool's for the cores, and its results depend on
-    its thread count), so the records are the same for any worker count and
-    any ``OPENBLAS_NUM_THREADS``. Without the OpenBLAS symbols the sweep runs
-    serially and leaves BLAS alone, with a warning if workers were asked for.
+    its thread count), so the records are the same for any core count and
+    any ``OPENBLAS_NUM_THREADS``. Without the OpenBLAS symbols the guesses
+    run serially in the calling thread and BLAS is left alone.
     """
     threads = _openblas_threads()
     if threads is None:
-        if workers is not None and workers > 1:
-            warnings.warn("cannot set numpy's BLAS thread count; the sweep runs serially",
-                          RuntimeWarning, stacklevel=4)
         yield map
         return
-    if workers is None:
-        workers = min(_usable_cores(), guesses)
     get_threads, set_threads = threads
     before = get_threads()
     set_threads(1)
     try:
-        if workers == 1:
-            yield map
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                yield pool.map
-            _release_free_memory()
+        with ThreadPoolExecutor(min(_usable_cores(), guesses)) as pool:
+            yield pool.map
+        _release_free_memory()
     finally:
         set_threads(before)
 
@@ -397,7 +386,7 @@ def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], Non
     return get_threads, set_threads
 
 
-def grid_search(task: MsoTask, grid: GridSpec, workers: Optional[int] = None,
+def grid_search(task: MsoTask, grid: GridSpec,
                 on_result: Optional[Callable[[ConfigResult], None]] = None) -> ExperimentResult:
     """Exhaustive sweep over the grid with deterministic selection.
 
@@ -406,17 +395,15 @@ def grid_search(task: MsoTask, grid: GridSpec, workers: Optional[int] = None,
     records are in canonical (scale, leak, radius, lambda) order and the
     selection is the first minimum of the mean validation NRMSE. Failed
     combinations are recorded with an error marker and excluded from
-    selection. Each pair's guesses are evaluated by ``workers`` threads
-    (default: one per usable core, at most ``grid.guesses``; ``workers=1``
-    makes no pool), with numpy's OpenBLAS at one thread for the whole sweep,
-    so the records are the same for every worker count and BLAS setting.
-    Every thread holds one guess's states and fit, so peak memory grows with
-    ``workers`` and ``workers=1`` is the low-memory setting.
+    selection. Each pair's guesses are evaluated on one thread per core the
+    process may run on (``os.sched_getaffinity``), at most ``grid.guesses``,
+    with numpy's OpenBLAS at one thread for the whole sweep, so the records
+    are the same for every core count and BLAS setting. Every thread holds
+    one guess's states and fit, so peak memory grows with the thread count;
+    a process pinned to one core (``taskset -c 0``) uses the least.
     """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     by_pair = []
-    with _guess_map(workers, grid.guesses) as map_guesses:
+    with _guess_map(grid.guesses) as map_guesses:
         for leak in grid.leak_rates:
             for rho in grid.spectral_radii:
                 by_pair.append(_evaluate_pair(task, grid, leak, rho, map_guesses))

@@ -1,12 +1,9 @@
 import json
 
-import numpy as np
 import pytest
 
 import deepesn as de
-from deepesn.cli import (ANALYSIS_POINT, ExperimentConfig, _result_row, emit_plot_data, main,
-                         run_experiment)
-from deepesn.spectral import SpectrumReport
+from deepesn.cli import ANALYSIS_POINT, ExperimentConfig, _result_row, main, run_experiment
 
 
 def read_lines(path):
@@ -203,6 +200,7 @@ def test_run_config_file_defaults(tmp_path):
     echo = json.loads((out / "config.echo").read_text())
     assert echo["mode"] == "single"
     assert echo["guesses"] == 1
+    assert "workers" not in echo
 
 
 def test_run_rejects_washout_before_sweep(tmp_path, capsys):
@@ -215,20 +213,35 @@ def test_run_rejects_washout_before_sweep(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_run_rejects_bad_worker_counts(tmp_path, capsys, monkeypatch, workers):
+@pytest.mark.parametrize("bad", [["--guesses", "0"], ["--layers", "0"], ["--units", "0"],
+                                 ["--length", "500"], ["--task", "mso13"],
+                                 ["--leak", "1.5", "--spectral-analysis"]])
+def test_run_rejects_bad_sizes_before_writing(tmp_path, capsys, monkeypatch, bad):
     from deepesn import cli as cli_mod
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep must not start")
 
     monkeypatch.setattr(cli_mod, "grid_search", no_sweep)
-    out = tmp_path / "workers"
-    code = main(["run", "--task", "mso5", "--grid", "--layers", "1", "--units", "2",
-                 "--guesses", "1", "--workers", workers, "--out", str(out)])
+    out = tmp_path / "sizes"
+    code = main(["run", "--grid", "--task", "mso5", "--layers", "1", "--units", "2",
+                 "--guesses", "1", "--out", str(out)] + bad)  # the later flag wins
     assert code == 2
-    assert "workers" in capsys.readouterr().err
+    assert "error: config" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_has_no_worker_count(tmp_path, capsys):
+    # the sweep's thread count follows the usable cores (taskset), not a flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--task", "mso5", "--workers", "2", "--out", str(tmp_path / "flag")])
+    assert exit_info.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 1}))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "file")])
+    assert code == 2
+    assert "unknown fields ['workers']" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
 
 
 def test_run_config_file_unknown_field(tmp_path, capsys):
@@ -271,25 +284,17 @@ def test_run_grid_small_shallow(tmp_path):
     assert "l-deepesn" in summary
 
 
-# -------------------------------------------------------------- emit_plot_data
+# -------------------------------------------------------------------- spectrum
 
 def test_emit_spectrum_report_rows(tmp_path):
-    report = SpectrumReport(
-        freq_bins=np.fft.rfftfreq(900), per_layer=np.ones((10, 451)),
-        window=900, washout=100, guesses=1, num_layers=10, units_per_layer=1,
-        zero_units=0)
-    path = tmp_path / "spectra.csv"
-    emit_plot_data(report, path)
-    lines = read_lines(path)
+    # one (layer, frequency, magnitude) row per layer and rfft bin of the
+    # 900-step window after the washout
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--layers", "10", "--units", "1", "--guesses", "1",
+                 "--out", str(out)]) == 0
+    lines = read_lines(out / "spectra.csv")
+    assert lines[0] == "layer,frequency,magnitude"
     assert len(lines) == 1 + 4510
-
-
-def test_emit_rejects_unknown_artifact(tmp_path):
-    with pytest.raises(TypeError):
-        emit_plot_data({"not": "supported"}, tmp_path / "x.csv")
-
-
-# -------------------------------------------------------------------- spectrum
 
 def test_spectrum_command(tmp_path):
     out = tmp_path / "spec"
@@ -345,10 +350,10 @@ def test_run_experiment_crash_keeps_partial_and_manifest(tmp_path, monkeypatch):
 
     from deepesn import cli as cli_mod
 
-    def exploding_grid_search(task, grid, workers=1, on_result=None):
+    def exploding_grid_search(task, grid, on_result=None):
         small = dataclasses.replace(grid, input_scales=(1.0,), leak_rates=(0.9,),
                                     spectral_radii=(0.7,), guesses=1)
-        for rec in de.grid_search(task, small, workers=1).records[:3]:
+        for rec in de.grid_search(task, small).records[:3]:
             on_result(rec)
         raise RuntimeError("worker lost")
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -251,6 +252,12 @@ TINY_GRID = de.GridSpec(
 )
 
 
+def _sweep(monkeypatch, cores, grid=TINY_GRID, **kwargs):
+    """``grid_search`` on MSO5 as if ``cores`` cores were usable."""
+    monkeypatch.setattr(mso, "_usable_cores", lambda: cores)
+    return de.grid_search(de.MsoTask(5), grid, **kwargs)
+
+
 def test_grid_search_canonical_order_and_shape():
     result = de.grid_search(de.MsoTask(5), TINY_GRID)
     assert len(result.records) == 2 * 1 * 2 * 2
@@ -305,30 +312,23 @@ def test_grid_search_records_failures_and_excludes_them():
     assert result.selected.leak_rate == 0.9
 
 
-def test_grid_search_parallel_matches_serial():
+def test_grid_search_parallel_matches_serial(monkeypatch):
     one_pair = dataclasses.replace(TINY_GRID, spectral_radii=(0.7,))
-    for grid, workers in ((TINY_GRID, 2), (one_pair, 2), (TINY_GRID, 3)):
-        serial = de.grid_search(de.MsoTask(5), grid, workers=1)
-        parallel = de.grid_search(de.MsoTask(5), grid, workers=workers)
+    for grid, cores in ((TINY_GRID, 2), (one_pair, 2), (TINY_GRID, 3)):
+        serial = _sweep(monkeypatch, 1, grid)
+        parallel = _sweep(monkeypatch, cores, grid)
         assert serial.records == parallel.records
         assert serial.selected == parallel.selected
 
 
-def test_grid_search_streams_records():
-    # serial and pool runs deliver records through the same path, pair by pair
+def test_grid_search_streams_records(monkeypatch):
+    # pools of one and two threads deliver records the same way, pair by pair
     pairs = [(0.9, 0.7), (0.9, 0.9)]
-    for workers in (1, 2):
+    for cores in (1, 2):
         seen = []
-        result = de.grid_search(de.MsoTask(5), TINY_GRID, workers=workers,
-                                on_result=seen.append)
+        result = _sweep(monkeypatch, cores, on_result=seen.append)
         assert seen == [r for pair in pairs for r in result.records
                         if (r.leak_rate, r.spectral_radius) == pair]
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_grid_search_rejects_bad_worker_counts(workers):
-    with pytest.raises(ValueError, match="workers"):
-        de.grid_search(de.MsoTask(5), TINY_GRID, workers=workers)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -353,8 +353,8 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
     monkeypatch.setattr(mso, "init_reservoir", init_reservoir)
     monkeypatch.setattr(mso, "run", run)
     grid = dataclasses.replace(TINY_GRID, input_scales=(0.1, 10.0), guesses=3)
-    serial = de.grid_search(de.MsoTask(5), grid, workers=1)
-    parallel = de.grid_search(de.MsoTask(5), grid, workers=2)
+    serial = _sweep(monkeypatch, 1, grid)
+    parallel = _sweep(monkeypatch, 2, grid)
     assert repr(serial.records) == repr(parallel.records)  # error records hold NaN
     errors = {(r.input_scale, r.spectral_radius): r.error
               for r in serial.records if r.error is not None}
@@ -371,20 +371,20 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
 
 
 
-def test_grid_search_threads_keep_their_buffers():
+def test_grid_search_threads_keep_their_buffers(monkeypatch):
     # more threads than cores and a short switch interval: a rescaled-state
     # buffer shared between threads would corrupt records
     grid = dataclasses.replace(TINY_GRID, num_layers=3, units_per_layer=40, guesses=8)
-    calm = de.grid_search(de.MsoTask(5), grid, workers=2)
+    calm = _sweep(monkeypatch, 2, grid)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        stressed = de.grid_search(de.MsoTask(5), grid, workers=4)
+        stressed = _sweep(monkeypatch, 4, grid)
     finally:
         sys.setswitchinterval(interval)
     assert stressed.records == calm.records
 
-def test_grid_search_restores_blas_threads():
+def test_grid_search_restores_blas_threads(monkeypatch):
     threads = mso._openblas_threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
@@ -392,10 +392,9 @@ def test_grid_search_restores_blas_threads():
     before = get_threads()
     set_threads(2)
     try:
-        for workers in (1, 2, None):  # serial sweeps pin BLAS too
+        for cores in (1, 2):  # a pool of one pins BLAS too
             seen = []
-            de.grid_search(de.MsoTask(5), TINY_GRID, workers=workers,
-                           on_result=lambda rec: seen.append(get_threads()))
+            _sweep(monkeypatch, cores, on_result=lambda rec: seen.append(get_threads()))
             assert set(seen) == {1}
             assert get_threads() == 2
 
@@ -403,16 +402,16 @@ def test_grid_search_restores_blas_threads():
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            de.grid_search(de.MsoTask(5), TINY_GRID, workers=2, on_result=interrupt)
+            _sweep(monkeypatch, 2, on_result=interrupt)
         assert get_threads() == 2
     finally:
         set_threads(before)
 
 
-def test_grid_search_records_match_across_workers_at_two_blas_threads():
+def test_grid_search_records_match_across_workers_at_two_blas_threads(monkeypatch):
     # BLAS results depend on its thread count once its products are large
     # enough to split (4x50 is; TINY_GRID is not); the sweep pins one thread
-    # for every worker count, so serial and pool write the same records
+    # for every pool size, so pools of one and two write the same records
     threads = mso._openblas_threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
@@ -421,9 +420,9 @@ def test_grid_search_records_match_across_workers_at_two_blas_threads():
     before = get_threads()
     set_threads(2)
     try:
-        serial = de.grid_search(de.MsoTask(5), grid, workers=1)
+        serial = _sweep(monkeypatch, 1, grid)
         assert get_threads() == 2
-        pooled = de.grid_search(de.MsoTask(5), grid, workers=2)
+        pooled = _sweep(monkeypatch, 2, grid)
         assert get_threads() == 2
     finally:
         set_threads(before)
@@ -436,33 +435,34 @@ def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
 
     monkeypatch.setattr(mso, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(mso, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     capped = de.grid_search(de.MsoTask(5), TINY_GRID)       # at most one per guess
     assert pools == [TINY_GRID.guesses]
-    monkeypatch.setattr(mso, "_usable_cores", lambda: 1)
-    single = de.grid_search(de.MsoTask(5), TINY_GRID)       # builtin map, no pool
-    assert pools == [TINY_GRID.guesses]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    single = de.grid_search(de.MsoTask(5), TINY_GRID)       # as under taskset -c 0
+    assert pools == [TINY_GRID.guesses, 1]
     assert repr(capped.records) == repr(single.records)
 
 
 def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
-    serial = de.grid_search(de.MsoTask(5), TINY_GRID, workers=1)
+    serial = _sweep(monkeypatch, 1)
+
+    def no_pool(*args):
+        raise AssertionError("without the BLAS setter the sweep makes no pool")
+
     monkeypatch.setattr(mso, "_openblas_threads", lambda: None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        parallel = de.grid_search(de.MsoTask(5), TINY_GRID, workers=2)
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert parallel.records == serial.records
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        default = de.grid_search(de.MsoTask(5), TINY_GRID)
-    assert caught == []  # only an explicit worker count warns
-    assert default.records == serial.records
+    monkeypatch.setattr(mso, "ThreadPoolExecutor", no_pool)
+    for cores in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            unpinned = _sweep(monkeypatch, cores)
+        assert caught == []
+        assert unpinned.records == serial.records
 
 
 def test_grid_search_saturating_fallback():
