@@ -23,8 +23,8 @@ The analyses (``spectrum``, ``verify-flat`` and ``run``'s
 ``--spectral-analysis``/``--equivalence-check``) use a linear reservoir at
 ``ANALYSIS_POINT`` (input scale, leak rate, spectral radius). ``--scale-in``,
 ``--leak`` and ``--rho`` override it; ``run``'s analyses fall back to it for
-any of the three the run leaves unset. ``run``'s ``config.echo`` holds the
-resolved ``ExperimentConfig``, ``spectrum``'s its parsed arguments.
+any of the three the run leaves unset. ``run``'s and ``spectrum``'s
+``config.echo`` hold their parsed arguments; ``run --config`` replays one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,7 +44,7 @@ from .flat import verify_equivalence
 from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, generate_mso,
                   grid_search)
 from .reservoir import HyperParams, init_reservoir, run
-from .spectral import layer_spectra, spike_metrics
+from .spectral import SpectrumReport, SpikeMetrics, layer_spectra, spike_metrics
 
 _RESULT_COLUMNS = (
     "task", "model", "num_layers", "units_per_layer", "input_scale",
@@ -61,51 +60,22 @@ ANALYSIS_POINT = (1.0, 0.9, 0.7)
 EQUIVALENCE_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved configuration of one ``run`` invocation."""
-
-    task_n: int
-    out_dir: str
-    length: int = 1000
-    model: str = "deep"              # deep | shallow | both
-    mode: str = "grid"               # grid | single
-    num_layers: int = 10
-    units_per_layer: int = 100
-    input_scale: Optional[float] = None
-    leak_rate: Optional[float] = None
-    spectral_radius: Optional[float] = None
-    ridge_lambda: Optional[float] = None
-    guesses: int = 10
-    base_seed: int = 0
-    equivalence_check: bool = False
-    spectral_analysis: bool = False
-    washout: int = 100
-    allow_custom: bool = False
-
-    def __post_init__(self):
-        if self.model not in ("deep", "shallow", "both"):
-            raise ValueError(f"model must be deep, shallow or both, got {self.model!r}")
-        if self.mode not in ("grid", "single"):
-            raise ValueError(f"mode must be grid or single, got {self.mode!r}")
-        if self.mode == "single":
-            missing = [name for name, value in (
-                ("input_scale", self.input_scale),
-                ("leak_rate", self.leak_rate),
-                ("spectral_radius", self.spectral_radius),
-            ) if value is None]
-            if missing:
-                raise ValueError(f"single mode requires {', '.join(missing)}")
-            if not self.allow_custom:
-                _require_in_domain("input_scale", self.input_scale, GridSpec.input_scales)
-                _require_in_domain("leak_rate", self.leak_rate, GridSpec.leak_rates)
-                _require_in_domain("spectral_radius", self.spectral_radius,
-                                   GridSpec.spectral_radii)
-                if self.ridge_lambda is not None:
-                    _require_in_domain("ridge_lambda", self.ridge_lambda,
-                                       GridSpec.ridge_lambdas)
-        if self.spectral_analysis:
-            _require_analysis_window(self.washout, self.length)
+def _check_run(args: argparse.Namespace) -> None:
+    """The rules of ``run`` that its parser cannot express."""
+    point = (("--scale-in", args.scale_in, GridSpec.input_scales),
+             ("--leak", args.leak, GridSpec.leak_rates),
+             ("--rho", args.rho, GridSpec.spectral_radii))
+    if args.single:
+        missing = [flag for flag, value, _ in point if value is None]
+        if missing:
+            raise ValueError(f"single mode requires {', '.join(missing)}")
+        if not args.allow_custom:
+            for flag, value, candidates in point:
+                _require_in_domain(flag, value, candidates)
+            if args.ridge_lambda is not None:
+                _require_in_domain("--lambda", args.ridge_lambda, GridSpec.ridge_lambdas)
+    if args.spectral_analysis:
+        _require_analysis_window(args.washout, args.length)
 
 
 def _require_analysis_window(washout: int, length: int) -> None:
@@ -122,11 +92,11 @@ def _require_in_domain(name: str, value: float, candidates: Sequence[float]) -> 
         )
 
 
-def _model_dims(config: ExperimentConfig, model: str) -> tuple[int, int]:
+def _model_dims(args: argparse.Namespace, model: str) -> tuple[int, int]:
     """Shallow runs use one layer with the same total unit budget."""
     if model == "shallow":
-        return 1, config.num_layers * config.units_per_layer
-    return config.num_layers, config.units_per_layer
+        return 1, args.layers * args.units
+    return args.layers, args.units
 
 
 def _format_float(x: float) -> str:
@@ -147,36 +117,35 @@ def _result_row(task_n: int, model: str, layers: int, units: int,
     ]
 
 
-def _grid_spec(config: ExperimentConfig, layers: int, units: int) -> GridSpec:
+def _grid_spec(args: argparse.Namespace, layers: int, units: int) -> GridSpec:
     """The full candidate grid, or the one point that single mode names."""
     grid = GridSpec(num_layers=layers, units_per_layer=units,
-                    guesses=config.guesses, base_seed=config.base_seed)
-    if config.mode == "grid":
+                    guesses=args.guesses, base_seed=args.seed)
+    if not args.single:
         return grid
-    lambdas = grid.ridge_lambdas if config.ridge_lambda is None else (config.ridge_lambda,)
-    return dataclasses.replace(grid, input_scales=(config.input_scale,),
-                               leak_rates=(config.leak_rate,),
-                               spectral_radii=(config.spectral_radius,),
-                               ridge_lambdas=lambdas)
+    lambdas = grid.ridge_lambdas if args.ridge_lambda is None else (args.ridge_lambda,)
+    return dataclasses.replace(grid, input_scales=(args.scale_in,), leak_rates=(args.leak,),
+                               spectral_radii=(args.rho,), ridge_lambdas=lambdas)
 
 
-def run_experiment(config: ExperimentConfig) -> int:
-    """Execute the configured pipeline and persist all artifacts.
+def run_experiment(args: argparse.Namespace) -> int:
+    """Execute ``run`` with its parsed arguments and persist all artifacts.
 
+    The arguments are written to ``config.echo``, which ``--config`` replays.
     The task, every model's grid and the analyses' reservoir are built, and so
     checked, before anything is written.
     """
-    task = MsoTask(n=config.task_n, length=config.length)
-    models = ("deep", "shallow") if config.model == "both" else (config.model,)
-    dims = {model: _model_dims(config, model) for model in models}
-    grids = {model: _grid_spec(config, *dims[model]) for model in models}
-    if config.equivalence_check or config.spectral_analysis:
-        params = _analysis_params(*dims[models[0]], config.base_seed, config.input_scale,
-                                  config.leak_rate, config.spectral_radius)
+    _check_run(args)
+    task = MsoTask(n=args.task, length=args.length)
+    models = ("deep", "shallow") if args.model == "both" else (args.model,)
+    dims = {model: _model_dims(args, model) for model in models}
+    grids = {model: _grid_spec(args, *dims[model]) for model in models}
+    if args.equivalence_check or args.spectral_analysis:
+        params = _analysis_params(args, *dims[models[0]])
 
-    out = config.out_dir
+    out = args.out
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "config.echo"), dataclasses.asdict(config))
+    _write_json(os.path.join(out, "config.echo"), vars(args))
 
     partial_path = os.path.join(out, "results.partial.csv")
     results: dict[str, ExperimentResult] = {}
@@ -215,12 +184,12 @@ def run_experiment(config: ExperimentConfig) -> int:
                                  f"leak_rate={rec.leak_rate} "
                                  f"spectral_radius={rec.spectral_radius}: {rec.error}\n")
 
-    _write_summary(os.path.join(out, "summary.txt"), task, config, models, results)
+    _write_summary(os.path.join(out, "summary.txt"), task, args, models, results)
 
-    if config.equivalence_check:
-        _write_equivalence(os.path.join(out, "equivalence.txt"), task.n, params)
-    if config.spectral_analysis:
-        _write_spectra(out, task.n, config.length, params, config.guesses, config.washout)
+    if args.equivalence_check:
+        _write_json(os.path.join(out, "equivalence.txt"), _equivalence(task.n, params))
+    if args.spectral_analysis:
+        _write_spectra(out, *_spectra(args, params))
 
     if any(results[m].selected is None for m in models):
         print("error: experiment: no configuration evaluated successfully",
@@ -229,10 +198,10 @@ def run_experiment(config: ExperimentConfig) -> int:
     return 0
 
 
-def _write_summary(path: str, task: MsoTask, config: ExperimentConfig,
+def _write_summary(path: str, task: MsoTask, args: argparse.Namespace,
                    models: Sequence[str], results: dict) -> None:
-    lines = [f"task: mso{task.n}", f"mode: {config.mode}",
-             f"guesses: {config.guesses}", f"base_seed: {config.base_seed}", ""]
+    lines = [f"task: mso{task.n}", f"mode: {'single' if args.single else 'grid'}",
+             f"guesses: {args.guesses}", f"base_seed: {args.seed}", ""]
     for model in models:
         res = results[model]
         lines.append(f"model {model} ({res.num_layers} layers x "
@@ -252,7 +221,8 @@ def _write_summary(path: str, task: MsoTask, config: ExperimentConfig,
             lines.append(f"  failed configurations: {res.failures}")
         lines.append("")
 
-    header = f"{'task':<8}" + "".join(f"{_column_title(m):>14}" for m in models)
+    header = f"{'task':<8}" + "".join(f"{'l-deepesn' if m == 'deep' else 'l-esn':>14}"
+                                      for m in models)
     lines.append("test NRMSE (selected configuration)")
     lines.append(header)
     row = f"mso{task.n:<5}"
@@ -265,23 +235,18 @@ def _write_summary(path: str, task: MsoTask, config: ExperimentConfig,
         fh.write("\n".join(lines))
 
 
-def _column_title(model: str) -> str:
-    return "l-deepesn" if model == "deep" else "l-esn"
-
-
 def _write_json(path: str, record: dict) -> None:
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _analysis_params(layers: int, units: int, seed: int, input_scale: Optional[float],
-                     leak_rate: Optional[float], spectral_radius: Optional[float]) -> HyperParams:
+def _analysis_params(args: argparse.Namespace, layers: int, units: int) -> HyperParams:
     """The linear reservoir of the analyses; unset values come from ANALYSIS_POINT."""
-    point = (input_scale, leak_rate, spectral_radius)
+    point = (args.scale_in, args.leak, args.rho)
     return HyperParams(layers, units, 1,
                        *(d if v is None else v for v, d in zip(point, ANALYSIS_POINT)),
-                       "linear", seed)
+                       "linear", args.seed)
 
 
 def _mso_signal(task_n: int, length: int) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -297,39 +262,47 @@ def _mso_signal(task_n: int, length: int) -> tuple[np.ndarray, tuple[float, ...]
     return generate_mso(task)[:length], task.phis
 
 
-def _write_equivalence(path: str, task_n: int, params: HyperParams, steps: int = 200,
-                       rel_tol: float = EQUIVALENCE_REL_TOL) -> bool:
+def _equivalence(task_n: int, params: HyperParams, steps: int = 200,
+                 rel_tol: float = EQUIVALENCE_REL_TOL) -> dict:
+    """The ``equivalence.txt`` record of the layered-vs-flat check."""
     inputs, _ = _mso_signal(task_n, steps)
     report = verify_equivalence(init_reservoir(params), inputs, rel_tol)
-    _write_json(path, {
+    return {
         "max_abs_diff": report.max_abs_diff,
         "max_rel_diff": report.max_rel_diff,
         "pass": report.passed,
         "rel_tol": report.rel_tol,
         "steps": report.num_steps,
         "config": dataclasses.asdict(params),
-    })
-    return report.passed
+    }
 
 
-def _write_spectra(out: str, task_n: int, length: int, params: HyperParams, guesses: int,
-                   washout: int) -> None:
+def _spectra(args: argparse.Namespace,
+             params: HyperParams) -> tuple[SpectrumReport, SpikeMetrics]:
+    """Layer spectra over ``args.guesses`` seeds from ``params.seed``, and their spikes.
+
+    ``layer_spectra`` consumes the guesses one at a time, so only one guess's
+    states are held at once.
+    """
+    u, phis = _mso_signal(args.task, args.length)
+    trajectories = (run(init_reservoir(dataclasses.replace(params, seed=params.seed + g)), u)
+                    for g in range(args.guesses))
+    report = layer_spectra(trajectories, args.washout, params=params)
+    return report, spike_metrics(report, phis)
+
+
+def _write_spectra(out: str, report: SpectrumReport, metrics: SpikeMetrics) -> None:
     """``spectra.csv`` (layer, frequency, magnitude) and ``spikes.csv`` (per layer)."""
-    u, phis = _mso_signal(task_n, length)
-    trajectories = [run(init_reservoir(dataclasses.replace(params, seed=params.seed + g)), u)
-                    for g in range(guesses)]
-    report = layer_spectra(trajectories, washout, params=params)
     with open(os.path.join(out, "spectra.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "frequency", "magnitude"])
         for layer in range(report.num_layers):
             for freq, mag in zip(report.freq_bins, report.per_layer[layer]):
                 writer.writerow([str(layer + 1), _format_float(freq), _format_float(mag)])
-    metrics = spike_metrics(report, phis)
     with open(os.path.join(out, "spikes.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "filtering_ratio"]
-                        + [f"spike_phi{k + 1}" for k in range(len(phis))])
+                        + [f"spike_phi{k + 1}" for k in range(metrics.magnitudes.shape[1])])
         for layer in range(report.num_layers):
             writer.writerow([str(layer + 1), _format_float(metrics.filtering_ratio[layer])]
                             + [_format_float(v) for v in metrics.magnitudes[layer]])
@@ -369,7 +342,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="benchmark protocol (grid or single config)")
-    run_p.add_argument("--config", help="JSON file providing defaults for any flag")
+    run_p.add_argument("--config", help="JSON object of flag values keyed as config.echo "
+                       "writes them (an echo replays); flags given here win")
     _add_common(run_p)
     run_p.add_argument("--length", type=int, default=1000)
     run_p.add_argument("--model", choices=("deep", "shallow", "both"), default="deep")
@@ -410,77 +384,92 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, run_p
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    mode = "single" if args.single else "grid"
-    return ExperimentConfig(
-        task_n=args.task, out_dir=args.out, length=args.length,
-        model=args.model, mode=mode, num_layers=args.layers,
-        units_per_layer=args.units, input_scale=args.scale_in,
-        leak_rate=args.leak, spectral_radius=args.rho,
-        ridge_lambda=args.ridge_lambda, guesses=args.guesses,
-        base_seed=args.seed,
-        equivalence_check=args.equivalence_check,
-        spectral_analysis=args.spectral_analysis, washout=args.washout,
-        allow_custom=args.allow_custom,
-    )
+def _config_flags(run_parser: argparse.ArgumentParser, record: object) -> list[str]:
+    """A ``--config`` record, keyed as ``config.echo`` writes it, as ``run`` flags.
+
+    A null value leaves its flag unset; an echo's ``command`` and ``config`` are
+    checked and skipped, so an echo replays.
+    """
+    if not isinstance(record, dict):
+        raise ValueError("the config file must hold a JSON object")
+    actions = {action.dest: action for action in run_parser._actions}
+    unknown = set(record) - set(actions) - {"command"}
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)}")
+    if record.get("command", "run") != "run":
+        raise ValueError(f"the config file is a {record['command']!r} echo, not a run's")
+    flags = []
+    for dest, value in record.items():
+        if dest in ("command", "config", "help") or value is None:
+            continue
+        flag = actions[dest].option_strings[-1]
+        if actions[dest].nargs == 0 and isinstance(value, bool):
+            flags += [flag] if value else []
+        else:  # argparse rejects a switch given a value
+            flags.append(f"{flag}={value}")
+    return flags
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse the command line; ``run --config`` puts the file's flags first.
+
+    The whole command is then parsed once more, so a flag on the command line
+    wins over the file and both pass the same type, choice and exclusion checks.
+    """
+    parser, run_parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command != "run" or not args.config:
+        return args
+    with open(args.config) as fh:
+        record = json.load(fh)
+    at = argv.index("run") + 1
+    return parser.parse_args(argv[:at] + _config_flags(run_parser, record) + argv[at:])
+
+
+def _spectrum(args: argparse.Namespace) -> int:
+    _require_analysis_window(args.washout, args.length)
+    spectra = _spectra(args, _analysis_params(args, args.layers, args.units))
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "config.echo"), vars(args))
+    _write_spectra(args.out, *spectra)
+    return 0
+
+
+def _verify_flat(args: argparse.Namespace) -> int:
+    params = _analysis_params(args, args.layers, args.units)
+    record = _equivalence(args.task, params, steps=args.steps, rel_tol=args.tol)
+    os.makedirs(args.out, exist_ok=True)
+    _write_json(os.path.join(args.out, "equivalence.txt"), record)
+    return 0 if record["pass"] else 1
+
+
+def _signal(args: argparse.Namespace) -> int:
+    if args.excerpt is not None and args.excerpt < 1:
+        raise ValueError(f"excerpt must be >= 1, got {args.excerpt}")
+    signal = _mso_signal(args.task, args.length)[0][: args.excerpt]
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "signal.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "value"])
+        for t, value in enumerate(signal, start=1):
+            writer.writerow([str(t), _format_float(value)])
+    return 0
+
+
+_COMMANDS = {"run": run_experiment, "spectrum": _spectrum, "verify-flat": _verify_flat,
+             "signal": _signal}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, run_parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "run" and args.config:
-        try:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: config: {exc}", file=sys.stderr)
-            return 2
-        unknown = set(defaults) - {a.dest for a in run_parser._actions}
-        if unknown:
-            print(f"error: config: unknown fields {sorted(unknown)}", file=sys.stderr)
-            return 2
-        run_parser.set_defaults(**defaults)
-        args = parser.parse_args(argv)
-
     try:
-        if args.command == "run":
-            return run_experiment(_config_from_args(args))
-        if args.command == "spectrum":
-            _require_analysis_window(args.washout, args.length)
-        if args.command in ("spectrum", "verify-flat"):
-            os.makedirs(args.out, exist_ok=True)
-            params = _analysis_params(args.layers, args.units, args.seed, args.scale_in,
-                                      args.leak, args.rho)
-        if args.command == "spectrum":
-            _write_json(os.path.join(args.out, "config.echo"), vars(args))
-            _write_spectra(args.out, args.task, args.length, params, args.guesses,
-                           args.washout)
-            return 0
-        if args.command == "verify-flat":
-            passed = _write_equivalence(os.path.join(args.out, "equivalence.txt"), args.task,
-                                        params, steps=args.steps, rel_tol=args.tol)
-            return 0 if passed else 1
-        if args.command == "signal":
-            if args.excerpt is not None and args.excerpt < 1:
-                raise ValueError(f"excerpt must be >= 1, got {args.excerpt}")
-            os.makedirs(args.out, exist_ok=True)
-            signal, _ = _mso_signal(args.task, args.length)
-            if args.excerpt is not None:
-                signal = signal[: args.excerpt]
-            with open(os.path.join(args.out, "signal.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["time", "value"])
-                for t, value in enumerate(signal, start=1):
-                    writer.writerow([str(t), _format_float(value)])
-            return 0
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: runtime: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

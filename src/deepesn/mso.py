@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .readout import fit_ridge_sweep, nrmse, predict
-from .reservoir import HyperParams, init_reservoir, run
+from .reservoir import HyperParams, _is_int, init_reservoir, run
 
 #: Canonical MSO frequencies (radians per step); MSO-n uses the first n.
 CANONICAL_PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97,
@@ -140,10 +140,11 @@ class GridSpec:
     activation: str = "linear"
 
     def __post_init__(self):
-        if self.num_layers < 1 or self.units_per_layer < 1:
-            raise ValueError("num_layers and units_per_layer must be >= 1")
-        if self.guesses < 1:
-            raise ValueError("guesses must be >= 1")
+        if not all(_is_int(n) and n >= 1
+                   for n in (self.num_layers, self.units_per_layer, self.guesses)):
+            raise ValueError("num_layers, units_per_layer and guesses must be integers >= 1")
+        if not (_is_int(self.base_seed) and self.base_seed >= 0):
+            raise ValueError(f"base_seed must be an integer >= 0, got {self.base_seed!r}")
         for name in ("input_scales", "leak_rates", "spectral_radii", "ridge_lambdas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")

@@ -22,6 +22,7 @@ matrices of earlier layers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +43,11 @@ MIN_SCALABLE_RADIUS = 1e-12
 MAX_DRAW_ATTEMPTS = 10
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Reservoir hyperparameters, shared by all layers.
@@ -60,8 +66,9 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_layers < 1 or self.units_per_layer < 1 or self.input_dim < 1:
-            raise ValueError("num_layers, units_per_layer and input_dim must be >= 1")
+        if not all(_is_int(n) and n >= 1
+                   for n in (self.num_layers, self.units_per_layer, self.input_dim)):
+            raise ValueError("num_layers, units_per_layer and input_dim must be integers >= 1")
         if not 0.0 <= self.leak_rate <= 1.0:
             raise ValueError(f"leak_rate must lie in [0, 1], got {self.leak_rate}")
         if not 0.0 < self.spectral_radius_target < math.inf:
@@ -70,7 +77,7 @@ class HyperParams:
             raise ValueError("input_scale must be nonnegative and finite")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if isinstance(self.seed, bool) or not 0 <= int(self.seed) < 2 ** 64:
+        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an integer in [0, 2**64)")
 
     @property

@@ -15,7 +15,7 @@ Frequencies are in cycles per step (0 to 0.5); a sine of angular frequency
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -84,45 +84,47 @@ def magnitude_spectrum(signal) -> np.ndarray:
     return np.abs(np.fft.rfft(x))
 
 
-def layer_spectra(trajectories: Sequence[StateTrajectory], washout: int,
+def layer_spectra(trajectories: Iterable[StateTrajectory], washout: int,
                   params: Optional[HyperParams] = None) -> SpectrumReport:
     """Averaged per-layer spectra over a set of reservoir guesses.
 
     For every guess, layer, and unit: drop the washout steps, take the
     magnitude spectrum of the unit's series, normalize it to max 1, then
     average over units and guesses. Identically-zero unit series skip
-    normalization and are tallied in the report diagnostics.
+    normalization and are tallied in the report diagnostics. The
+    trajectories are read once, in order, so a generator keeps only one
+    guess's states alive at a time.
     """
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    shape = trajectories[0].states.shape
-    for traj in trajectories[1:]:
-        if traj.states.shape != shape:
-            raise ValueError("all trajectories must share dimensions")
-    steps, n_layers, n_units = shape
     if washout < 0:
         raise ValueError("washout must be nonnegative")
-    window = steps - washout
-    if window < 2:
-        raise ValueError(f"analysis window must span at least 2 steps, got {window}")
-
-    n_bins = window // 2 + 1
-    total = np.zeros((n_layers, n_bins))
-    zero_units = 0
+    shape = None
+    guesses = zero_units = 0
     for traj in trajectories:
+        if shape is None:
+            steps, n_layers, n_units = shape = traj.states.shape
+            window = steps - washout
+            if window < 2:
+                raise ValueError(f"analysis window must span at least 2 steps, got {window}")
+            total = np.zeros((n_layers, window // 2 + 1))
+        elif traj.states.shape != shape:
+            raise ValueError("all trajectories must share dimensions")
+        guesses += 1
         mags = np.abs(np.fft.rfft(traj.states[washout:], axis=0))  # (bins, layers, units)
         peaks = mags.max(axis=0, keepdims=True)
         zero_units += int(np.count_nonzero(peaks == 0.0))
         normalized = np.divide(mags, peaks, out=np.zeros_like(mags), where=peaks > 0)
         total += normalized.mean(axis=2).T
-    curves = total / len(trajectories)
+        del traj, mags, normalized  # free this guess before the next one is made
+    if shape is None:
+        raise ValueError("need at least one trajectory")
+    curves = total / guesses
     layer_peaks = curves.max(axis=1, keepdims=True)
     curves = np.divide(curves, layer_peaks, out=np.zeros_like(curves),
                        where=layer_peaks > 0)
     return SpectrumReport(
         freq_bins=_readonly(np.fft.rfftfreq(window)),
         per_layer=_readonly(curves),
-        window=window, washout=washout, guesses=len(trajectories),
+        window=window, washout=washout, guesses=guesses,
         num_layers=n_layers, units_per_layer=n_units,
         zero_units=zero_units, params=params,
     )

@@ -1,13 +1,27 @@
 import json
+import tracemalloc
 
 import pytest
 
 import deepesn as de
-from deepesn.cli import ANALYSIS_POINT, ExperimentConfig, _result_row, main, run_experiment
+from deepesn import cli as cli_mod
+from deepesn.cli import ANALYSIS_POINT, _build_parser, _result_row, main
 
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+def exit_code(argv):
+    """``main``'s exit status, also when argparse exits on a bad flag."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("nothing may be simulated")
 
 
 # -------------------------------------------------------------------- signal
@@ -155,7 +169,7 @@ def test_run_determinism_byte_identical(tmp_path):
     # config echoes differ only in the output directory
     echo_a = json.loads((out_a / "config.echo").read_text())
     echo_b = json.loads((out_b / "config.echo").read_text())
-    echo_a.pop("out_dir"), echo_b.pop("out_dir")
+    echo_a.pop("out"), echo_b.pop("out")
     assert echo_a == echo_b
 
 
@@ -198,7 +212,7 @@ def test_run_config_file_defaults(tmp_path):
     out = tmp_path / "fromfile"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     echo = json.loads((out / "config.echo").read_text())
-    assert echo["mode"] == "single"
+    assert echo["single"] is True
     assert echo["guesses"] == 1
     assert "workers" not in echo
 
@@ -217,12 +231,7 @@ def test_run_rejects_washout_before_sweep(tmp_path, capsys):
                                  ["--length", "500"], ["--task", "mso13"],
                                  ["--leak", "1.5", "--spectral-analysis"]])
 def test_run_rejects_bad_sizes_before_writing(tmp_path, capsys, monkeypatch, bad):
-    from deepesn import cli as cli_mod
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep must not start")
-
-    monkeypatch.setattr(cli_mod, "grid_search", no_sweep)
+    monkeypatch.setattr(cli_mod, "grid_search", refuse)
     out = tmp_path / "sizes"
     code = main(["run", "--grid", "--task", "mso5", "--layers", "1", "--units", "2",
                  "--guesses", "1", "--out", str(out)] + bad)  # the later flag wins
@@ -250,6 +259,10 @@ def test_run_config_file_unknown_field(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "y")])
     assert code == 2
     assert "unknown fields" in capsys.readouterr().err
+    cfg.write_text(json.dumps([5]))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 2
+    assert "JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
 
 
 # ------------------------------------------------------------------- run grid
@@ -313,12 +326,7 @@ def test_spectrum_command(tmp_path):
 
 
 def test_spectrum_rejects_washout_before_simulating(tmp_path, capsys, monkeypatch):
-    from deepesn import cli as cli_mod
-
-    def no_run(*args, **kwargs):
-        raise AssertionError("no guess may be simulated")
-
-    monkeypatch.setattr(cli_mod, "run", no_run)
+    monkeypatch.setattr(cli_mod, "run", refuse)
     out = tmp_path / "spec"
     code = main(["spectrum", "--guesses", "20", "--washout", "5000", "--out", str(out)])
     assert code == 2
@@ -329,17 +337,20 @@ def test_spectrum_rejects_washout_before_simulating(tmp_path, capsys, monkeypatc
 
 # ----------------------------------------------------------- run_experiment API
 
-def test_run_experiment_rejects_bad_model():
-    with pytest.raises(ValueError):
-        ExperimentConfig(task_n=5, out_dir="/tmp/x", model="wide")
+def test_run_experiment_rejects_bad_model(tmp_path):
+    out = tmp_path / "x"
+    assert exit_code(["run", "--task", "mso5", "--model", "wide", "--out", str(out)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "wide"}))
+    assert exit_code(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_run_experiment_single_api(tmp_path):
     out = tmp_path / "api"
-    config = ExperimentConfig(task_n=5, out_dir=str(out), mode="single",
-                              input_scale=1.0, leak_rate=0.9, spectral_radius=0.7,
-                              num_layers=1, units_per_layer=4, guesses=1)
-    assert run_experiment(config) == 0
+    assert main(["run", "--task", "mso5", "--single", "--scale-in", "1.0", "--leak", "0.9",
+                 "--rho", "0.7", "--layers", "1", "--units", "4", "--guesses", "1",
+                 "--out", str(out)]) == 0
     assert (out / "results.csv").exists()
 
 
@@ -347,8 +358,6 @@ def test_run_experiment_crash_keeps_partial_and_manifest(tmp_path, monkeypatch):
     # a worker crash mid-sweep must leave the streamed records on disk as
     # valid rows plus a failure manifest, and exit nonzero
     import dataclasses
-
-    from deepesn import cli as cli_mod
 
     def exploding_grid_search(task, grid, on_result=None):
         small = dataclasses.replace(grid, input_scales=(1.0,), leak_rates=(0.9,),
@@ -359,12 +368,104 @@ def test_run_experiment_crash_keeps_partial_and_manifest(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "grid_search", exploding_grid_search)
     out = tmp_path / "crash"
-    config = ExperimentConfig(task_n=5, out_dir=str(out), mode="grid",
-                              num_layers=1, units_per_layer=4, guesses=1)
-    assert run_experiment(config) == 1
+    assert main(["run", "--task", "mso5", "--grid", "--layers", "1", "--units", "4",
+                 "--guesses", "1", "--out", str(out)]) == 1
     partial = read_lines(out / "results.partial.csv")
     assert len(partial) == 4  # header + 3 completed records
     assert all(len(line.split(",")) == len(partial[0].split(","))
                for line in partial[1:])
     assert "worker lost" in (out / "failures.txt").read_text()
     assert not (out / "results.csv").exists()
+
+
+# ------------------------------------------------------------ config.echo replay
+
+REPLAYED_RUNS = [
+    ["--task", "mso5", "--grid", "--model", "both", "--layers", "3", "--units", "20",
+     "--guesses", "2", "--seed", "42"],
+    ["--task", "mso5", "--single", "--scale-in", "1", "--leak", "0.9", "--rho", "0.7",
+     "--layers", "4", "--units", "30", "--guesses", "3", "--seed", "7",
+     "--spectral-analysis", "--equivalence-check"],
+]
+
+
+@pytest.mark.parametrize("flags", REPLAYED_RUNS)
+def test_run_echo_replays_to_identical_files(tmp_path, flags):
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert main(["run", *flags, "--out", str(first)]) == 0
+    echo = json.loads((first / "config.echo").read_text())
+    _, run_parser = _build_parser()
+    assert {a.dest for a in run_parser._actions} - {"help"} <= set(echo)
+    assert main(["run", "--config", str(first / "config.echo"), "--out", str(replay)]) == 0
+    for name in ("results.csv", "summary.txt"):
+        assert (first / name).read_bytes() == (replay / name).read_bytes()
+    replayed = json.loads((replay / "config.echo").read_text())
+    assert replayed == {**echo, "out": str(replay), "config": str(first / "config.echo")}
+
+
+@pytest.mark.parametrize("record,flags", [
+    ({"guesses": 2.5}, []),
+    ({"layers": True}, []),
+    ({"model": "wide"}, []),
+    ({"single": True}, ["--grid"]),
+    ({"single": "yes"}, []),
+    ({"command": "spectrum"}, []),
+])
+def test_run_config_values_are_checked_like_flags(tmp_path, monkeypatch, record, flags):
+    monkeypatch.setattr(cli_mod, "grid_search", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": 5, "layers": 1, "units": 2, "guesses": 1,
+                               "scale_in": 1.0, "leak": 0.9, "rho": 0.7, **record}))
+    out = tmp_path / "bad"
+    assert exit_code(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_run_flags_win_over_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": 5, "single": True, "scale_in": 1.0, "leak": 0.9,
+                               "rho": 0.7, "layers": 1, "units": 3, "guesses": 3,
+                               "ridge_lambda": 1e-6}))
+    out = tmp_path / "win"
+    assert main(["run", "--config", str(cfg), "--guesses", "1", "--units", "2",
+                 "--out", str(out)]) == 0
+    echo = json.loads((out / "config.echo").read_text())
+    assert (echo["guesses"], echo["units"], echo["layers"]) == (1, 2, 1)
+    assert "guesses: 1" in (out / "summary.txt").read_text()
+
+
+# ------------------------------------------------------------ analysis commands
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--guesses", "0"],
+    ["spectrum", "--layers", "0"],
+    ["spectrum", "--units", "0"],
+    ["verify-flat", "--steps", "0"],
+    ["verify-flat", "--tol", "0"],
+    ["verify-flat", "--layers", "0"],
+])
+def test_analyses_reject_bad_values_before_writing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli_mod, "run", refuse)
+    out = tmp_path / "analysis"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "error: config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_holds_one_guess_at_a_time(tmp_path):
+    # the guesses stream through layer_spectra: ten cost about what one does
+    layers, units, length = 4, 20, 1000
+    states_bytes = length * layers * units * 8
+
+    def peak(guesses):
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--layers", str(layers), "--units", str(units),
+                         "--length", str(length), "--guesses", str(guesses),
+                         "--out", str(tmp_path / str(guesses))]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm the caches and imports
+    assert peak(10) < peak(1) + 2 * states_bytes

@@ -238,9 +238,26 @@ def test_linear_guess_memory_is_states_plus_a_few_ranges():
     assert peak < states + 5 * fit_range
 
 
-def test_grid_spec_rejects_zero_guesses():
+@pytest.mark.parametrize("kwargs", [
+    dict(guesses=0),
+    dict(guesses=2.5),
+    dict(guesses=True),
+    dict(num_layers=2.0),
+    dict(num_layers=True),
+    dict(units_per_layer=6.0),
+    dict(base_seed=True),
+    dict(base_seed=1.5),
+    dict(base_seed=-1),
+])
+def test_grid_spec_rejects_bad_sizes(kwargs):
     with pytest.raises(ValueError):
-        de.GridSpec(num_layers=2, units_per_layer=6, guesses=0)
+        de.GridSpec(**{"num_layers": 2, "units_per_layer": 6, **kwargs})
+
+
+def test_grid_spec_accepts_numpy_integers():
+    grid = de.GridSpec(num_layers=np.int64(2), units_per_layer=np.int32(6),
+                       guesses=np.int64(3), base_seed=np.uint64(4))
+    assert (grid.num_layers, grid.guesses, grid.base_seed) == (2, 3, 4)
 
 
 # ---------------------------------------------------------------- grid_search

@@ -27,10 +27,22 @@ from conftest import gelfand_radius
     dict(num_layers=2, units_per_layer=5, spectral_radius_target=float("inf")),
     dict(num_layers=2, units_per_layer=5, input_scale=float("inf")),
     dict(num_layers=2, units_per_layer=5, seed=True),
+    dict(num_layers=True, units_per_layer=4),
+    dict(num_layers=2.0, units_per_layer=4),
+    dict(num_layers=2, units_per_layer=True),
+    dict(num_layers=2, units_per_layer=4.5),
+    dict(num_layers=2, units_per_layer=4, input_dim=True),
+    dict(num_layers=2, units_per_layer=4, input_dim=1.0),
+    dict(num_layers=2, units_per_layer=4, seed=2.5),
 ])
 def test_hyperparams_validation(kwargs):
     with pytest.raises(ValueError):
         de.HyperParams(**kwargs)
+
+
+def test_hyperparams_accepts_numpy_integers():
+    p = de.HyperParams(np.int64(2), np.int32(3), input_dim=np.int64(1), seed=np.uint64(7))
+    assert de.init_reservoir(p).recurrent_weights[1].shape == (3, 3)
 
 
 def test_total_units():
