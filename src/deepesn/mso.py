@@ -38,6 +38,8 @@ import numpy as np
 from .readout import fit_ridge_sweep, nrmse, predict
 from .reservoir import HyperParams, _is_int, init_reservoir, run
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
+
 #: Canonical MSO frequencies (radians per step); MSO-n uses the first n.
 CANONICAL_PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97,
                   1.08, 1.19, 1.27, 1.32)
@@ -342,29 +344,52 @@ def _guess_map(guesses: int) -> Iterator[Callable]:
     get_threads, set_threads = threads
     before = get_threads()
     set_threads(1)
+    workers = min(_usable_cores(), guesses)
     try:
-        with ThreadPoolExecutor(min(_usable_cores(), guesses)) as pool:
+        with ThreadPoolExecutor(workers) as pool, _pooled_heap(pool, workers):
             yield pool.map
-        _release_free_memory()
     finally:
         set_threads(before)
 
 
-def _release_free_memory() -> None:
-    """Return the C heap's free pages to the system (glibc; elsewhere a no-op).
+@contextlib.contextmanager
+def _pooled_heap(pool: ThreadPoolExecutor, workers: int) -> Iterator[None]:
+    """Pool threads keep the heap they free during the sweep and return it after.
 
-    Each pool thread allocates from its own glibc arena, which keeps the
-    freed states and fit buffers of its guesses resident after the thread
-    exits, where no other thread reuses them. After a pooled 10x100 sweep
-    this returns 6 to 23 MB; an arena's free top chunk stays, as glibc trims
-    it only on a free.
+    With glibc's adaptive thresholds a pool thread's arena may keep up to
+    twice the largest block freed so far free at its top after the thread
+    exits, out of ``malloc_trim``'s reach; how much depends on the order in
+    which the threads free. Fixed (for the process: glibc cannot go back),
+    the arenas keep what they free for the next guess, and at the end each
+    pool thread frees a block of 64 KiB or more, which trims its arena's
+    top beyond glibc's initial 128 KiB. No-op without glibc.
     """
     try:
-        trim = ctypes.CDLL(None).malloc_trim
+        libc = ctypes.CDLL(None)
+        mallopt, trim = libc.mallopt, libc.malloc_trim
+        libc.malloc.restype, libc.free.argtypes = ctypes.c_void_p, [ctypes.c_void_p]
     except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
+        libc = None
+    if libc is None:
+        yield
         return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 2 ** 31 - 1)
+    try:
+        yield
+    finally:
+        mallopt(_M_TRIM_THRESHOLD, 128 << 10)
+    # All guesses are done, so each pool thread takes one of these tasks and
+    # waits for the others (the timeout only guards against a lost thread).
+    barrier = threading.Barrier(workers, timeout=10)
+
+    def release(_):
+        with contextlib.suppress(threading.BrokenBarrierError):
+            barrier.wait()
+        libc.free(libc.malloc(128 << 10))
+
+    list(pool.map(release, range(workers)))
+    trim(ctypes.c_size_t(0))
 
 
 def _usable_cores() -> int:

@@ -2,11 +2,14 @@ import dataclasses
 import functools
 import math
 import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,6 +426,41 @@ def test_grid_search_restores_blas_threads(monkeypatch):
         assert get_threads() == 2
     finally:
         set_threads(before)
+
+
+def test_threads_after_a_sweep_keep_no_freed_arrays_resident():
+    # glibc's adaptive thresholds let a thread's arena keep a freed 8 MiB
+    # array resident after the thread exits, so what a pooled sweep left
+    # behind varied from run to run; a sweep fixes the thresholds. Run in a
+    # fresh interpreter, as the setting lasts for the process.
+    if not sys.platform.startswith("linux") or mso._openblas_threads() is None:
+        pytest.skip("needs glibc and numpy's BLAS thread-count setter")
+    code = textwrap.dedent("""
+        import threading
+        import numpy as np
+        import deepesn as de
+
+        def resident():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * 4096
+
+        def churn():
+            for _ in range(3):
+                a = np.empty(1 << 20)
+                a.fill(1.0)
+                del a
+
+        de.grid_search(de.MsoTask(5), de.GridSpec(1, 2, guesses=1))
+        before = resident()
+        worker = threading.Thread(target=churn)
+        worker.start()
+        worker.join()
+        print(resident() - before)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(de.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert int(done.stdout) < 4 << 20
 
 
 def test_grid_search_records_match_across_workers_at_two_blas_threads(monkeypatch):
