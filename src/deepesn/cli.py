@@ -462,7 +462,10 @@ _COMMANDS = {"run": run_experiment, "spectrum": _spectrum, "verify-flat": _verif
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        try:
+            args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        except SystemExit as exc:  # argparse: 0 after --help, 2 for a bad flag or value
+            return exc.code
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -4,8 +4,9 @@
 class DegenerateConfigurationError(ValueError):
     """A hyperparameter combination that makes construction meaningless.
 
-    Raised for leak_rate == 0: the effective layer matrix collapses to the
-    identity and spectral-radius rescaling has no degree of freedom.
+    Raised by ``HyperParams`` for leak_rate == 0: the effective layer matrix
+    collapses to the identity and spectral-radius rescaling has no degree of
+    freedom.
     """
 
 

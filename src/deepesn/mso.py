@@ -18,7 +18,7 @@ guess is fit once per lambda from a shared factorization. With linear
 activation the states are likewise exactly linear in the input-scale value
 (layer i picks up one factor per crossing, scale**i), so the grid runner
 derives all input-scale variants from a single unit-scale run per
-(leak, radius, guess); the saturating fallback reruns per scale.
+(leak, radius, guess); saturating units run once per scale.
 """
 
 from __future__ import annotations
@@ -200,18 +200,24 @@ class ExperimentResult:
         return self.selected.mean_test_nrmse
 
 
-def _score_states(rows: Callable[[slice], np.ndarray], targets: np.ndarray,
+def _score_states(states: np.ndarray, factors: np.ndarray, targets: np.ndarray,
                   split: SplitSpec, lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Validation and test NRMSE per lambda for one guess.
 
-    ``rows(sl)`` returns the guess's concatenated states on the steps ``sl``;
-    each matrix it returns is used up before the next call.
+    ``states`` is the guess's ``(steps, layers, units)`` trajectory; each split
+    range is scored from its rows with layer i times ``factors[i]``, made
+    fresh and dropped before the next range, so a guess holds its states plus
+    one range.
     """
+    def rows(sl: slice) -> np.ndarray:
+        return (states[sl] * factors[:, None]).reshape(sl.stop - sl.start, -1)
+
     fits = fit_ridge_sweep(rows(split.fit_slice), targets[split.fit_slice], lambdas)
     scores = []
     for sl in (split.validation_slice, split.test_slice):
-        states = rows(sl)
-        scores.append(np.array([nrmse(predict(f, states)[:, 0], targets[sl]) for f in fits]))
+        block = rows(sl)
+        scores.append(np.array([nrmse(predict(f, block)[:, 0], targets[sl]) for f in fits]))
+        del block
     return scores[0], scores[1]
 
 
@@ -244,61 +250,44 @@ def _error_record(scale: float, leak: float, rho: float, exc: Exception) -> Conf
 
 
 def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: GridSpec,
-                    leak: float, rho: float, scratch: threading.local, seed: int) -> list:
+                    leak: float, rho: float, seed: int) -> list:
     """One guess at every input scale: per scale, its (val, test) NRMSE rows or the exception.
 
-    Linear activation: one unit-scale run serves every input scale through
-    exact per-layer rescaling (layer i scales as scale**i), so a failed run
-    fails every scale. Only the rows being scored are rescaled, one split
-    range at a time, into a buffer per thread in ``scratch`` (a fresh one per
-    guess costs page faults), so a guess holds its states plus one range.
-    Every state is checked to be finite at every scale before any fit: the
-    largest magnitude per layer times that layer's factor overflows exactly
-    when some state's product does, as rounding is monotone. Other
-    activations run each scale directly.
+    Every scale is scored from one simulation's states times per-layer
+    factors. Linear units run once, at unit scale, for all scales: their
+    states are exactly linear in the input scale, layer i scaling as
+    scale**i, so those powers are the factors and a failed run fails every
+    scale. Saturating units run at each scale itself, with factors of 1.0,
+    which leave the states exact. A scale's states are checked to be finite
+    before any fit: the largest magnitude per layer times that layer's
+    factor overflows exactly when some state's product does, as rounding is
+    monotone.
     """
-    def states_at(scale: float) -> np.ndarray:
-        params = HyperParams(grid.num_layers, grid.units_per_layer, 1, scale, leak, rho,
-                             grid.activation, seed)
-        return run(init_reservoir(params), u).states
-
     linear = grid.activation == "linear"
-    if linear:
-        try:
-            base = states_at(1.0)
-        except Exception as exc:  # recorded per scale, excluded from selection
-            return [exc] * len(grid.input_scales)
-        peak = np.maximum(base.max(axis=0), -base.min(axis=0)).max(axis=1)  # per layer
-        if not hasattr(scratch, "rows"):
-            longest = max(sl.stop - sl.start for sl in
-                          (split.fit_slice, split.validation_slice, split.test_slice))
-            scratch.rows = np.empty((longest,) + base.shape[1:])
+    layers = np.arange(1, grid.num_layers + 1)
+    # (input scale simulated at, the input scales its states serve)
+    runs = [(1.0, grid.input_scales)] if linear else [(s, (s,)) for s in grid.input_scales]
     out = []
-    for scale in grid.input_scales:
+    for simulated, served in runs:
         try:
-            if linear:
-                factors = float(scale) ** np.arange(1, grid.num_layers + 1)
-                finite = np.isfinite(peak * factors).all()
-                rows = functools.partial(_rescaled_rows, base, factors[:, None], scratch.rows)
-            else:
-                states = states_at(scale)
-                finite = np.isfinite(states).all()
-                rows = states.reshape(len(states), -1).__getitem__
-            if not finite:
-                raise RuntimeError(
-                    f"non-finite reservoir states for input_scale={scale} leak_rate={leak} "
-                    f"spectral_radius={rho} seed={seed}")
-            out.append(_score_states(rows, targets, split, grid.ridge_lambdas))
-        except Exception as exc:
-            out.append(exc)
+            params = HyperParams(grid.num_layers, grid.units_per_layer, 1, simulated, leak,
+                                 rho, grid.activation, seed)
+            states = run(init_reservoir(params), u).states
+        except Exception as exc:  # recorded per scale, excluded from selection
+            out += [exc] * len(served)
+            continue
+        peak = np.maximum(states.max(axis=0), -states.min(axis=0)).max(axis=1)  # per layer
+        for scale in served:
+            factors = float(scale) ** layers if linear else np.ones(grid.num_layers)
+            try:
+                if not np.isfinite(peak * factors).all():
+                    raise RuntimeError(
+                        f"non-finite reservoir states for input_scale={scale} "
+                        f"leak_rate={leak} spectral_radius={rho} seed={seed}")
+                out.append(_score_states(states, factors, targets, split, grid.ridge_lambdas))
+            except Exception as exc:
+                out.append(exc)
     return out
-
-
-def _rescaled_rows(base: np.ndarray, factors: np.ndarray, buffer: np.ndarray,
-                   sl: slice) -> np.ndarray:
-    """Concatenated states of steps ``sl``, layer i times ``factors[i]``, in ``buffer``."""
-    block = base[sl]
-    return np.multiply(block, factors, out=buffer[: len(block)]).reshape(len(block), -1)
 
 
 def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
@@ -310,8 +299,7 @@ def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
     the first failure in guess order.
     """
     u, targets = _signal_and_targets(task)
-    evaluate = functools.partial(_evaluate_guess, u, targets, task.split, grid, leak, rho,
-                                 threading.local())
+    evaluate = functools.partial(_evaluate_guess, u, targets, task.split, grid, leak, rho)
     per_guess = list(map_guesses(evaluate, range(grid.base_seed,
                                                  grid.base_seed + grid.guesses)))
     out = []

@@ -54,6 +54,7 @@ class HyperParams:
 
     ``leak_rate`` and ``spectral_radius_target`` are common to every layer;
     ``input_scale`` bounds the entries of the input and inter-layer matrices.
+    A leak rate of 0 raises ``DegenerateConfigurationError``.
     """
 
     num_layers: int
@@ -71,6 +72,11 @@ class HyperParams:
             raise ValueError("num_layers, units_per_layer and input_dim must be integers >= 1")
         if not 0.0 <= self.leak_rate <= 1.0:
             raise ValueError(f"leak_rate must lie in [0, 1], got {self.leak_rate}")
+        if self.leak_rate == 0.0:
+            raise DegenerateConfigurationError(
+                "leak_rate = 0 makes the effective matrix the identity; "
+                "spectral-radius rescaling is degenerate"
+            )
         if not 0.0 < self.spectral_radius_target < math.inf:
             raise ValueError("spectral_radius_target must be positive and finite")
         if not 0.0 <= self.input_scale < math.inf:
@@ -240,11 +246,6 @@ def init_reservoir(params: HyperParams) -> DeepReservoir:
     normalized, and rescaled so that every layer's effective matrix has
     spectral radius exactly ``spectral_radius_target``. No bias terms.
     """
-    if params.leak_rate == 0.0:
-        raise DegenerateConfigurationError(
-            "leak_rate = 0 makes the effective matrix the identity; "
-            "spectral-radius rescaling is degenerate"
-        )
     seed = int(params.seed)
     n = params.units_per_layer
     w_in = params.input_scale * _input_raw(seed, n, params.input_dim)

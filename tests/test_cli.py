@@ -12,14 +12,6 @@ def read_lines(path):
     return path.read_text().splitlines()
 
 
-def exit_code(argv):
-    """``main``'s exit status, also when argparse exits on a bad flag."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 def refuse(*args, **kwargs):
     raise AssertionError("nothing may be simulated")
 
@@ -62,8 +54,7 @@ def test_signal_rejects_excerpt_below_one(tmp_path):
 
 def test_signal_task_parsing(tmp_path):
     assert main(["signal", "--task", "5", "--out", str(tmp_path / "a")]) == 0
-    with pytest.raises(SystemExit):
-        main(["signal", "--task", "fourier", "--out", str(tmp_path / "b")])
+    assert main(["signal", "--task", "fourier", "--out", str(tmp_path / "b")]) == 2
 
 
 # --------------------------------------------------------------- verify-flat
@@ -92,8 +83,7 @@ def test_verify_flat_defaults_pass_at_depth(tmp_path):
 
 def test_verify_flat_has_no_length(tmp_path):
     # --steps is the length of the checked signal
-    with pytest.raises(SystemExit):
-        main(["verify-flat", "--length", "300", "--out", str(tmp_path / "eq")])
+    assert main(["verify-flat", "--length", "300", "--out", str(tmp_path / "eq")]) == 2
 
 
 # ----------------------------------------------------------------- run single
@@ -229,7 +219,9 @@ def test_run_rejects_washout_before_sweep(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [["--guesses", "0"], ["--layers", "0"], ["--units", "0"],
                                  ["--length", "500"], ["--task", "mso13"],
-                                 ["--leak", "1.5", "--spectral-analysis"]])
+                                 ["--leak", "1.5", "--spectral-analysis"],
+                                 ["--leak", "0", "--spectral-analysis"],
+                                 ["--leak", "0", "--equivalence-check"]])
 def test_run_rejects_bad_sizes_before_writing(tmp_path, capsys, monkeypatch, bad):
     monkeypatch.setattr(cli_mod, "grid_search", refuse)
     out = tmp_path / "sizes"
@@ -242,15 +234,24 @@ def test_run_rejects_bad_sizes_before_writing(tmp_path, capsys, monkeypatch, bad
 
 def test_run_has_no_worker_count(tmp_path, capsys):
     # the sweep's thread count follows the usable cores (taskset), not a flag
-    with pytest.raises(SystemExit) as exit_info:
-        main(["run", "--task", "mso5", "--workers", "2", "--out", str(tmp_path / "flag")])
-    assert exit_info.value.code == 2
+    assert main(["run", "--task", "mso5", "--workers", "2",
+                 "--out", str(tmp_path / "flag")]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 1}))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "file")])
     assert code == 2
     assert "unknown fields ['workers']" in capsys.readouterr().err
     assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+
+
+def test_main_returns_parser_exit_codes(tmp_path, capsys):
+    # argparse's own exits come back as main's status, not as SystemExit
+    assert main(["run", "--bogus", "--out", str(tmp_path / "bogus")]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["run", "--layers", "two", "--out", str(tmp_path / "bogus")]) == 2
+    assert main(["run", "--help"]) == 0
+    assert "--spectral-analysis" in capsys.readouterr().out
+    assert not (tmp_path / "bogus").exists()
 
 
 def test_run_config_file_unknown_field(tmp_path, capsys):
@@ -339,10 +340,10 @@ def test_spectrum_rejects_washout_before_simulating(tmp_path, capsys, monkeypatc
 
 def test_run_experiment_rejects_bad_model(tmp_path):
     out = tmp_path / "x"
-    assert exit_code(["run", "--task", "mso5", "--model", "wide", "--out", str(out)]) == 2
+    assert main(["run", "--task", "mso5", "--model", "wide", "--out", str(out)]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "wide"}))
-    assert exit_code(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -417,7 +418,7 @@ def test_run_config_values_are_checked_like_flags(tmp_path, monkeypatch, record,
     cfg.write_text(json.dumps({"task": 5, "layers": 1, "units": 2, "guesses": 1,
                                "scale_in": 1.0, "leak": 0.9, "rho": 0.7, **record}))
     out = tmp_path / "bad"
-    assert exit_code(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
     assert not out.exists()
 
 

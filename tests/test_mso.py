@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -228,10 +227,10 @@ def test_linear_guess_memory_is_states_plus_a_few_ranges():
     grid = de.GridSpec(10, 100, leak_rates=(0.9,), spectral_radii=(0.7,), guesses=1)
     u, targets = _signal_and_targets(task)
     evaluate = functools.partial(mso._evaluate_guess, u, targets, task.split, grid, 0.9, 0.7)
-    evaluate(threading.local(), 3)  # fills the eigenvalue cache
+    evaluate(3)  # fills the eigenvalue cache
     tracemalloc.start()
     try:
-        scores = evaluate(threading.local(), 3)
+        scores = evaluate(3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -392,8 +391,8 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
 
 
 def test_grid_search_threads_keep_their_buffers(monkeypatch):
-    # more threads than cores and a short switch interval: a rescaled-state
-    # buffer shared between threads would corrupt records
+    # more threads than cores and a short switch interval: an array shared
+    # between threads would corrupt records
     grid = dataclasses.replace(TINY_GRID, num_layers=3, units_per_layer=40, guesses=8)
     calm = _sweep(monkeypatch, 2, grid)
     interval = sys.getswitchinterval()
@@ -518,6 +517,42 @@ def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
             unpinned = _sweep(monkeypatch, cores)
         assert caught == []
         assert unpinned.records == serial.records
+
+
+def test_saturating_grid_matches_hand_pipeline():
+    # saturating units run at each input scale and are scored with factors
+    # of 1.0: bitwise agreement with run + fit_ridge at that scale
+    task = de.MsoTask(5)
+    grid = dataclasses.replace(TINY_GRID, activation="saturating")
+    result = de.grid_search(task, grid)
+    assert result.failures == 0
+    for rec in result.records:
+        params = de.HyperParams(2, 5, 1, rec.input_scale, rec.leak_rate, rec.spectral_radius,
+                                "saturating", 0)
+        val, test = _hand_scores(task, params, (rec.ridge_lambda,), 2, base_seed=7)
+        assert rec.per_guess_val == tuple(val[:, 0])
+        assert rec.per_guess_test == tuple(test[:, 0])
+
+
+@pytest.mark.parametrize("activation,leak,simulated", [
+    ("linear", 0.9, [1.0]), ("saturating", 0.9, [0.1, 1.0]), ("linear", 0.0, [])])
+def test_guess_simulates_once_per_distinct_scale(monkeypatch, activation, leak, simulated):
+    # a linear guess serves its two input scales from one unit-scale run; a
+    # saturating guess runs each scale; leak 0 fails every scale before a run
+    calls, real_run = [], mso.run
+
+    def run(res, u):
+        calls.append(res.params.input_scale)
+        return real_run(res, u)
+
+    monkeypatch.setattr(mso, "run", run)
+    task = de.MsoTask(5)
+    grid = dataclasses.replace(TINY_GRID, activation=activation)
+    u, targets = _signal_and_targets(task)
+    scores = mso._evaluate_guess(u, targets, task.split, grid, leak, 0.7, 7)
+    assert calls == simulated
+    outcome = tuple if simulated else de.DegenerateConfigurationError
+    assert len(scores) == 2 and all(isinstance(s, outcome) for s in scores)
 
 
 def test_grid_search_saturating_fallback():

@@ -34,6 +34,7 @@ from conftest import gelfand_radius
     dict(num_layers=2, units_per_layer=4, input_dim=True),
     dict(num_layers=2, units_per_layer=4, input_dim=1.0),
     dict(num_layers=2, units_per_layer=4, seed=2.5),
+    dict(num_layers=2, units_per_layer=5, leak_rate=0.0),
 ])
 def test_hyperparams_validation(kwargs):
     with pytest.raises(ValueError):
