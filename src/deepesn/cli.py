@@ -76,6 +76,29 @@ def _check_run(args: argparse.Namespace) -> None:
                 _require_in_domain("--lambda", args.ridge_lambda, GridSpec.ridge_lambdas)
     if args.spectral_analysis:
         _require_analysis_window(args.washout, args.length)
+    if args.equivalence_check:
+        _require_flat_memory(args.layers * args.units)
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _require_flat_memory(dim: int) -> None:
+    """The equivalence check's dense flat matrix must fit in half the physical memory.
+
+    Both models have ``layers * units`` units in all, so ``dim`` is the same
+    for ``--model deep`` and ``--model shallow``.
+    """
+    need, memory = 8 * dim * dim, _physical_memory()
+    if memory is not None and need > memory // 2:
+        raise ValueError(f"--equivalence-check builds a dense {dim}x{dim} flat matrix of "
+                         f"{need / 2 ** 30:.1f} GiB, more than half of the "
+                         f"{memory / 2 ** 30:.1f} GiB of physical memory")
 
 
 def _require_analysis_window(washout: int, length: int) -> None:
@@ -436,6 +459,7 @@ def _spectrum(args: argparse.Namespace) -> int:
 
 
 def _verify_flat(args: argparse.Namespace) -> int:
+    _require_flat_memory(args.layers * args.units)
     params = _analysis_params(args, args.layers, args.units)
     record = _equivalence(args.task, params, steps=args.steps, rel_tol=args.tol)
     os.makedirs(args.out, exist_ok=True)

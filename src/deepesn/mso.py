@@ -18,7 +18,12 @@ guess is fit once per lambda from a shared factorization. With linear
 activation the states are likewise exactly linear in the input-scale value
 (layer i picks up one factor per crossing, scale**i), so the grid runner
 derives all input-scale variants from a single unit-scale run per
-(leak, radius, guess); saturating units run once per scale.
+(leak, radius, guess); saturating units run once per scale. With one linear
+layer the input scale s is moreover redundant with lambda: the fit of s X at
+lambda predicts what the fit of X at lambda / s**2 does, so one factorization
+of the unit-scale states scores every (scale, lambda) of the guess. Deeper
+networks fit each scale apart, because the factors scale**i reweight the
+layers against each other, which no lambda can.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -152,15 +158,15 @@ class GridSpec:
                 raise ValueError(f"{name} must be nonempty")
 
 
-def _sorted_mean(values: np.ndarray) -> float:
-    ordered = np.sort(np.asarray(values, dtype=float))
-    return float(ordered.sum() / ordered.size)
+def _mean(values) -> float:
+    """Mean of a correctly rounded sum (``math.fsum``): the same for any order of the values."""
+    return math.fsum(values) / len(values)
 
 
-def _sorted_std(values: np.ndarray) -> float:
-    mean = _sorted_mean(values)
-    ordered = np.sort((np.asarray(values, dtype=float) - mean) ** 2)
-    return float(np.sqrt(ordered.sum() / ordered.size))
+def _std(values) -> float:
+    """Population standard deviation, summed as ``_mean`` sums."""
+    mean = _mean(values)
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
 
 
 @dataclass(frozen=True)
@@ -200,17 +206,18 @@ class ExperimentResult:
         return self.selected.mean_test_nrmse
 
 
-def _score_states(states: np.ndarray, factors: np.ndarray, targets: np.ndarray,
+def _score_states(states: np.ndarray, factors: Optional[np.ndarray], targets: np.ndarray,
                   split: SplitSpec, lambdas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Validation and test NRMSE per lambda for one guess.
 
     ``states`` is the guess's ``(steps, layers, units)`` trajectory; each split
     range is scored from its rows with layer i times ``factors[i]``, made
     fresh and dropped before the next range, so a guess holds its states plus
-    one range.
+    one range. Without factors the rows are views of the states.
     """
     def rows(sl: slice) -> np.ndarray:
-        return (states[sl] * factors[:, None]).reshape(sl.stop - sl.start, -1)
+        block = states[sl] if factors is None else states[sl] * factors[:, None]
+        return block.reshape(sl.stop - sl.start, -1)
 
     fits = fit_ridge_sweep(rows(split.fit_slice), targets[split.fit_slice], lambdas)
     scores = []
@@ -219,6 +226,30 @@ def _score_states(states: np.ndarray, factors: np.ndarray, targets: np.ndarray,
         scores.append(np.array([nrmse(predict(f, block)[:, 0], targets[sl]) for f in fits]))
         del block
     return scores[0], scores[1]
+
+
+def _score_scales(states: np.ndarray, scales: Sequence[float], targets: np.ndarray,
+                  split: SplitSpec, lambdas: Sequence[float]) -> list:
+    """(val, test) NRMSE rows per input scale of a one-layer linear guess, from one fit.
+
+    At scale s the states are s X, X those at unit scale, and the ridge fit
+    of s X at lambda predicts what the fit of X at lambda / s**2 predicts:
+    both put gain s sigma / (s**2 sigma**2 + lambda) on X's singular values.
+    So one sweep over the unit-scale rows serves every (scale, lambda). At
+    scale 0, and wherever lambda / s**2 overflows, the weights vanish and so
+    do the predictions.
+    """
+    lams = np.asarray(lambdas, dtype=float)
+    squares = np.square(np.asarray(scales, dtype=float))[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        unit_lams = np.where(lams == 0.0, 0.0, lams / squares)
+    unit_lams[squares[:, 0] == 0.0] = np.inf
+    live = np.isfinite(unit_lams)
+    val, test = (np.full(unit_lams.shape, nrmse(np.zeros(sl.stop - sl.start), targets[sl]))
+                 for sl in (split.validation_slice, split.test_slice))
+    if live.any():
+        val[live], test[live] = _score_states(states, None, targets, split, unit_lams[live])
+    return list(zip(val, test))
 
 
 def _records_from_scores(scale: float, leak: float, rho: float,
@@ -231,10 +262,10 @@ def _records_from_scores(scale: float, leak: float, rho: float,
             ridge_lambda=float(lam),
             per_guess_val=tuple(float(x) for x in val[:, j]),
             per_guess_test=tuple(float(x) for x in test[:, j]),
-            mean_val_nrmse=_sorted_mean(val[:, j]),
-            std_val_nrmse=_sorted_std(val[:, j]),
-            mean_test_nrmse=_sorted_mean(test[:, j]),
-            std_test_nrmse=_sorted_std(test[:, j]),
+            mean_val_nrmse=_mean(val[:, j]),
+            std_val_nrmse=_std(val[:, j]),
+            mean_test_nrmse=_mean(test[:, j]),
+            std_test_nrmse=_std(test[:, j]),
         ))
     return records
 
@@ -253,11 +284,14 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
                     leak: float, rho: float, seed: int) -> list:
     """One guess at every input scale: per scale, its (val, test) NRMSE rows or the exception.
 
-    Every scale is scored from one simulation's states times per-layer
-    factors. Linear units run once, at unit scale, for all scales: their
-    states are exactly linear in the input scale, layer i scaling as
-    scale**i, so those powers are the factors and a failed run fails every
-    scale. Saturating units run at each scale itself, with factors of 1.0,
+    Every scale is scored from one simulation's states. Linear units run
+    once, at unit scale, for all scales: their states are exactly linear in
+    the input scale, layer i scaling as scale**i, so a failed run fails every
+    scale. With one layer, one fit of the unit-scale states scores all scales
+    (``_score_scales``). Deeper networks fit each scale apart, on the states
+    with layer i times scale**i: that reweighting of the layers against each
+    other is no change of lambda, so their fits cannot share a factorization.
+    Saturating units run at each scale itself, scored with factors of 1.0,
     which leave the states exact. A scale's states are checked to be finite
     before any fit: the largest magnitude per layer times that layer's
     factor overflows exactly when some state's product does, as rounding is
@@ -277,16 +311,27 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
             out += [exc] * len(served)
             continue
         peak = np.maximum(states.max(axis=0), -states.min(axis=0)).max(axis=1)  # per layer
-        for scale in served:
-            factors = float(scale) ** layers if linear else np.ones(grid.num_layers)
+        factors = [float(s) ** layers if linear else np.ones(grid.num_layers) for s in served]
+        scores = [None if np.isfinite(peak * f).all() else RuntimeError(
+            f"non-finite reservoir states for input_scale={s} leak_rate={leak} "
+            f"spectral_radius={rho} seed={seed}") for s, f in zip(served, factors)]
+        finite = [k for k, score in enumerate(scores) if score is None]
+        if linear and grid.num_layers == 1:
             try:
-                if not np.isfinite(peak * factors).all():
-                    raise RuntimeError(
-                        f"non-finite reservoir states for input_scale={scale} "
-                        f"leak_rate={leak} spectral_radius={rho} seed={seed}")
-                out.append(_score_states(states, factors, targets, split, grid.ridge_lambdas))
+                shared = _score_scales(states, [served[k] for k in finite], targets, split,
+                                       grid.ridge_lambdas)
             except Exception as exc:
-                out.append(exc)
+                shared = [exc] * len(finite)
+            for k, score in zip(finite, shared):
+                scores[k] = score
+        else:
+            for k in finite:
+                try:
+                    scores[k] = _score_states(states, factors[k], targets, split,
+                                              grid.ridge_lambdas)
+                except Exception as exc:
+                    scores[k] = exc
+        out += scores
     return out
 
 

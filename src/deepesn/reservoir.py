@@ -320,17 +320,43 @@ def _matrix_power(m: np.ndarray, e: int) -> np.ndarray:
     return r
 
 
-def _linear_scan(x: np.ndarray, m: np.ndarray) -> None:
+# Costs of the blocked scan in flops of a large matrix product on one core: a
+# matrix-vector product reads its whole matrix for two flops per entry and
+# runs about 8 times slower per flop, and one numpy call costs about 1e5 flops
+# (a few microseconds).
+_MATVEC_FLOP_COST = 8.0
+_CALL_FLOP_COST = 1e5
+
+
+def _chunk_length(steps: int, units: int) -> int:
+    """The chunk length ``b`` of least counted cost for ``_linear_scan``.
+
+    The chunk passes take about ``4 T N^2`` flops whatever ``b`` is. What
+    depends on ``b`` is forming ``M^b`` (one N x N product per squaring and
+    per further binary one of ``b``) and the ``ceil(T/b)`` sequential carries
+    plus ``2 (b - 1)`` chunk passes, each of which reads all of ``M`` once, as
+    a matrix-vector product does, in one numpy call. Ties go to the smaller
+    ``b``; ``b = 1`` is the plain sequential recurrence.
+    """
+    b = np.arange(1, steps + 1)
+    products = np.frexp(b)[1] - 2 + np.bitwise_count(b)
+    reads = -(-steps // b) + 2 * (b - 1)
+    cost = (2.0 * units ** 3 * products
+            + reads * (_MATVEC_FLOP_COST * 2.0 * units ** 2 + _CALL_FLOP_COST))
+    return int(b[np.argmin(cost)])
+
+
+def _linear_scan(x: np.ndarray, m: np.ndarray, b: int) -> None:
     """Solve ``x_t = M x_{t-1} + d_t`` from ``x_{-1} = 0`` in place; ``x`` holds d.
 
-    A blocked scan over chunks of ``b = ceil(sqrt(steps))`` rows (Martin &
-    Cundy, arXiv 1709.04057): every chunk first runs from a zero start, all
-    chunks at once; the chunk-end states are then carried through ``M^b``;
-    last, each chunk adds ``M^(k+1)`` times the state before it to its row
-    ``k``. Each row only ever reads earlier rows, so the scan stays causal.
+    A blocked scan over chunks of ``b`` rows (Martin & Cundy, arXiv
+    1709.04057; ``_chunk_length`` picks ``b``): every chunk first runs from a
+    zero start, all chunks at once; the chunk-end states are then carried
+    through ``M^b``; last, each chunk adds ``M^(k+1)`` times the state before
+    it to its row ``k``. Each row only ever reads earlier rows, so the scan
+    stays causal.
     """
     steps = x.shape[0]
-    b = math.isqrt(steps - 1) + 1
     mt = m.T
     for k in range(1, b):
         rows = x[k::b]
@@ -367,6 +393,7 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
     a = p.leak_rate
     out = np.empty((u.shape[0], p.num_layers, p.units_per_layer))
     src, w_drive = u, res.input_weights
+    chunk = _chunk_length(u.shape[0], p.units_per_layer)
     for i, w_rec in enumerate(res.recurrent_weights):
         if i > 0:
             src, w_drive = out[:, i - 1], res.inter_layer_weights[i - 1]
@@ -374,7 +401,7 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
         np.matmul(src, w_drive.T, out=x)
         if p.activation == "linear":
             x *= a
-            _linear_scan(x, effective_matrix(w_rec, a))
+            _linear_scan(x, effective_matrix(w_rec, a), chunk)
         else:
             state = np.zeros(p.units_per_layer)
             for t in range(x.shape[0]):

@@ -232,6 +232,30 @@ def test_run_rejects_bad_sizes_before_writing(tmp_path, capsys, monkeypatch, bad
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--grid", "--task", "mso5", "--guesses", "1", "--equivalence-check"],
+    ["run", "--grid", "--task", "mso5", "--guesses", "1", "--equivalence-check",
+     "--model", "shallow"],
+    ["verify-flat"],
+])
+def test_flat_check_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch, argv):
+    # 2 layers x 10 units flatten to a 20x20 matrix of 3200 bytes
+    monkeypatch.setattr(cli_mod, "grid_search", refuse)
+    monkeypatch.setattr(cli_mod, "verify_equivalence", refuse)
+    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * 3200 - 1)
+    out = tmp_path / "flat"
+    assert main([*argv, "--layers", "2", "--units", "10", "--out", str(out)]) == 2
+    assert "dense 20x20 flat matrix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flat_check_runs_within_half_the_memory(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * 3200)
+    out = tmp_path / "flat"
+    assert main(["verify-flat", "--layers", "2", "--units", "10", "--out", str(out)]) == 0
+    assert json.loads((out / "equivalence.txt").read_text())["pass"] is True
+
+
 def test_run_has_no_worker_count(tmp_path, capsys):
     # the sweep's thread count follows the usable cores (taskset), not a flag
     assert main(["run", "--task", "mso5", "--workers", "2",

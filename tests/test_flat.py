@@ -132,8 +132,8 @@ def test_verify_equivalence_single_layer_diff_is_tiny(rng):
 
 
 # Layer-10 states reach ~1e9 here, so absolute gaps reach ~1e-6. Relative to
-# each layer's state magnitude, the sequential simulator's gaps over seeds
-# 40-59 stayed within 1.95e-15; the bound leaves a factor of 5.
+# each layer's state magnitude, run's gaps over seeds 40-59 stayed within
+# 2.6e-15 (chunks of 16 steps at this size); the bound leaves a factor of 4.
 MSO12_DEEP_REL_TOL = 1e-14
 
 

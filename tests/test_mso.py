@@ -15,7 +15,7 @@ import pytest
 
 import deepesn as de
 from deepesn import mso
-from deepesn.mso import _evaluate_pair, _signal_and_targets, _sorted_mean
+from deepesn.mso import _evaluate_pair, _mean, _signal_and_targets, _std
 
 PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97, 1.08, 1.19, 1.27, 1.32)
 
@@ -202,9 +202,13 @@ def test_grid_search_per_guess_seeds_are_base_plus_index():
 
 
 def test_guess_permutation_invariance_of_means():
-    values = np.array([3e-4, 1e-4, 2e-4, 9e-5])
-    permuted = values[[2, 0, 3, 1]]
-    assert _sorted_mean(values) == _sorted_mean(permuted)
+    values = np.array([3e-4, 1e-4, 2e-4, 9e-5, 1.0, 1e-16, 7e-3, 3.3e-9, 0.1, 2e-12])
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        permuted = rng.permutation(values)
+        assert _mean(values) == _mean(permuted)
+        assert _std(values) == _std(permuted)
+    assert _mean(values) == math.fsum(values) / 10
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -238,6 +242,50 @@ def test_linear_guess_memory_is_states_plus_a_few_ranges():
     states = task.length * grid.num_layers * grid.units_per_layer * 8
     fit_range = states * 300 // task.length
     assert peak < states + 5 * fit_range
+
+
+def test_one_layer_guess_scores_every_scale_from_one_fit():
+    # the shared fit of the unit-scale states against a fit of s X per scale:
+    # scale 0 predicts zero and scale 1 is the same fit, so both match bit for
+    # bit; elsewhere lambda / s**2 moves the rounding, and at small lambda the
+    # near-singular directions amplify it. At 1e-160, lambda / s**2 overflows
+    # and the shared fit predicts zero, as the fit of s X nearly does.
+    task = de.MsoTask(5)
+    scales, lambdas = (0.0, 1e-160, 0.01, 0.1, 1.0), (0.0, 1e-8, 1e-6, 1e-3, 1.0)
+    grid = de.GridSpec(1, 8, input_scales=scales, leak_rates=(0.9,), spectral_radii=(0.7,),
+                       ridge_lambdas=lambdas, guesses=1)
+    u, targets = _signal_and_targets(task)
+    scores = mso._evaluate_guess(u, targets, task.split, grid, 0.9, 0.7, 3)
+    states = de.run(de.init_reservoir(de.HyperParams(1, 8, seed=3, leak_rate=0.9,
+                                                     spectral_radius_target=0.7)), u).states
+    held = np.array(lambdas) >= 1e-6
+    for scale, shared in zip(scales, scores):
+        per_scale = mso._score_states(states, np.array([scale]), targets, task.split, lambdas)
+        for got, want in zip(shared, per_scale):
+            if scale in (0.0, 1.0):
+                assert got.tolist() == want.tolist()
+            else:
+                np.testing.assert_allclose(got[held], want[held], rtol=1e-12, atol=0)
+                assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("layers, lambdas_per_fit", [(1, [36]), (2, [12, 12, 12])])
+def test_guess_fits_once_unless_deep(monkeypatch, layers, lambdas_per_fit):
+    # one linear layer shares one fit, over 3 scales x 12 lambdas; a deep
+    # guess fits each scale apart
+    calls, real_fit = [], mso.fit_ridge_sweep
+
+    def fit_ridge_sweep(*args):
+        calls.append(len(args[2]))
+        return real_fit(*args)
+
+    monkeypatch.setattr(mso, "fit_ridge_sweep", fit_ridge_sweep)
+    task = de.MsoTask(5)
+    grid = de.GridSpec(layers, 5, leak_rates=(0.9,), spectral_radii=(0.7,), guesses=1)
+    u, targets = _signal_and_targets(task)
+    scores = mso._evaluate_guess(u, targets, task.split, grid, 0.9, 0.7, 7)
+    assert len(scores) == 3 and all(isinstance(s, tuple) for s in scores)
+    assert calls == lambdas_per_fit
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -314,9 +362,9 @@ def test_grid_scale_sharing_matches_direct_runs():
     val, test = _hand_scores(task, params, TINY_GRID.ridge_lambdas, 2, base_seed=7)
     for j in range(2):
         assert recs[0.1][j].mean_val_nrmse == pytest.approx(
-            _sorted_mean(val[:, j]), rel=1e-7)
+            _mean(val[:, j]), rel=1e-7)
         assert recs[0.1][j].mean_test_nrmse == pytest.approx(
-            _sorted_mean(test[:, j]), rel=1e-7)
+            _mean(test[:, j]), rel=1e-7)
 
 
 def test_grid_search_records_failures_and_excludes_them():

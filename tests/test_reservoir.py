@@ -298,12 +298,48 @@ def test_run_matches_manual_stepping(small_reservoir, small_params, rng):
     ("linear", 1), ("linear", 2), ("saturating", 1), ("saturating", 2),
 ])
 def test_run_matches_step_across_chunk_shapes(small_params, activation, input_dim, steps):
-    # the linear scan cuts ceil(sqrt(steps)) chunks: these lengths give one
-    # chunk, partial last chunks and exact squares
+    # at 6 units the chunk-length rule picks b = 1 (the sequential recurrence)
+    # up to 4 steps, then b = 3, 2, 3, 20 and 24: one-step chunks, partial
+    # last chunks and chunks that divide the steps
     r = de.init_reservoir(dataclasses.replace(small_params, activation=activation,
                                               input_dim=input_dim, seed=steps))
     u = np.random.default_rng(steps).uniform(-1, 1, (steps, input_dim))
     _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+
+
+@pytest.mark.parametrize("steps", [1, 3, 16, 17, 65])
+def test_run_matches_step_when_units_exceed_steps(steps):
+    # with at least as many units as steps, forming M^b weighs most and the
+    # rule picks short chunks: b = 1, 1, 2, 2 and 4 here
+    r = de.init_reservoir(de.HyperParams(2, 64, leak_rate=0.9, spectral_radius_target=0.7,
+                                         seed=steps))
+    u = np.random.default_rng(steps).uniform(-1, 1, steps)
+    _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+
+
+@pytest.mark.parametrize("steps, b", [(1, 1), (5, 1), (5, 2), (5, 4), (5, 5), (5, 8),
+                                      (16, 4), (17, 4), (17, 16)])
+def test_linear_scan_matches_recurrence_at_any_chunk_length(steps, b):
+    # b >= steps is the single-chunk case: the chunk pass alone solves it
+    rng = np.random.default_rng(100 * steps + b)
+    m = rng.uniform(-0.3, 0.3, (5, 5))
+    d = rng.uniform(-1.0, 1.0, (steps, 5))
+    expected, x = np.empty_like(d), np.zeros(5)
+    for t in range(steps):
+        x = expected[t] = m @ x + d[t]
+    got = d.copy()
+    rc._linear_scan(got, m, b)
+    assert np.abs(got - expected).max() <= RUN_VS_STEP_REL * np.abs(expected).max()
+
+
+def test_chunk_length_rule():
+    for steps in (1, 2, 3, 17, 1000):
+        for units in (1, 6, 64, 100, 1000):
+            assert 1 <= rc._chunk_length(steps, units) <= steps
+    assert rc._chunk_length(1000, 1000) <= 8
+    # test_verify_equivalence_mso12_deep passes its 1e-14 bound at this chunk
+    # length (at most 2.6e-15 over seeds 40-59)
+    assert rc._chunk_length(1000, 100) == 16
 
 
 @settings(max_examples=30, deadline=None)
