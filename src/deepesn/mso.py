@@ -236,14 +236,15 @@ def _score_scales(states: np.ndarray, scales: Sequence[float], targets: np.ndarr
     of s X at lambda predicts what the fit of X at lambda / s**2 predicts:
     both put gain s sigma / (s**2 sigma**2 + lambda) on X's singular values.
     So one sweep over the unit-scale rows serves every (scale, lambda). At
-    scale 0, and wherever lambda / s**2 overflows, the weights vanish and so
-    do the predictions.
+    scale 0, and wherever lambda > 0 and lambda / s**2 overflows, the weights
+    vanish and so do the predictions; at lambda = 0 every nonzero scale has
+    the unit-scale fit, however small its square.
     """
     lams = np.asarray(lambdas, dtype=float)
-    squares = np.square(np.asarray(scales, dtype=float))[:, None]
+    scale = np.asarray(scales, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        unit_lams = np.where(lams == 0.0, 0.0, lams / squares)
-    unit_lams[squares[:, 0] == 0.0] = np.inf
+        unit_lams = np.where(lams == 0.0, 0.0, lams / np.square(scale)[:, None])
+    unit_lams[scale == 0.0] = np.inf
     live = np.isfinite(unit_lams)
     val, test = (np.full(unit_lams.shape, nrmse(np.zeros(sl.stop - sl.start), targets[sl]))
                  for sl in (split.validation_slice, split.test_slice))

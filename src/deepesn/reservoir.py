@@ -320,30 +320,43 @@ def _matrix_power(m: np.ndarray, e: int) -> np.ndarray:
     return r
 
 
-# Costs of the blocked scan in flops of a large matrix product on one core: a
-# matrix-vector product reads its whole matrix for two flops per entry and
-# runs about 8 times slower per flop, and one numpy call costs about 1e5 flops
-# (a few microseconds).
+# Costs of the blocked scan in flops of a large matrix product on one core.
+# A matrix-vector product reads its whole matrix for two flops per entry and
+# runs about 8 times slower per flop: 8.1 is the least-squares fit of the
+# layer-scan timings in BENCH_11.json (b from 1 to 64 at 1x1000, 10x100 and
+# 1x2000 on a 2-core x86-64 host, OpenBLAS on one thread, about 56 GFLOP/s in
+# large products). Those timings do not fix the cost of one numpy call; 1e5
+# flops is about 2 microseconds there, and any value from 0 to 1e5 picks the
+# same b at all three sizes.
 _MATVEC_FLOP_COST = 8.0
 _CALL_FLOP_COST = 1e5
 
 
-def _chunk_length(steps: int, units: int) -> int:
-    """The chunk length ``b`` of least counted cost for ``_linear_scan``.
+def _scan_cost(steps: int, units: int, b: int) -> float:
+    """The part of ``_linear_scan``'s cost that depends on its chunk length ``b``.
 
     The chunk passes take about ``4 T N^2`` flops whatever ``b`` is. What
     depends on ``b`` is forming ``M^b`` (one N x N product per squaring and
     per further binary one of ``b``) and the ``ceil(T/b)`` sequential carries
     plus ``2 (b - 1)`` chunk passes, each of which reads all of ``M`` once, as
-    a matrix-vector product does, in one numpy call. Ties go to the smaller
-    ``b``; ``b = 1`` is the plain sequential recurrence.
+    a matrix-vector product does, in one numpy call.
     """
-    b = np.arange(1, steps + 1)
-    products = np.frexp(b)[1] - 2 + np.bitwise_count(b)
+    products = b.bit_length() - 2 + b.bit_count()
     reads = -(-steps // b) + 2 * (b - 1)
-    cost = (2.0 * units ** 3 * products
+    return (2.0 * units ** 3 * products
             + reads * (_MATVEC_FLOP_COST * 2.0 * units ** 2 + _CALL_FLOP_COST))
-    return int(b[np.argmin(cost)])
+
+
+def _chunk_length(steps: int, units: int) -> int:
+    """The chunk length ``b`` of least ``_scan_cost``; ties go to the smaller ``b``.
+
+    ``b = 1`` is the plain sequential recurrence. No ``b`` beyond
+    ``2 isqrt(T) + 1`` can win: it costs at least as much as the largest
+    power of two not above it, and halving a power of two while the half
+    stays above ``sqrt(T)`` saves a product and adds no reads.
+    """
+    last = min(steps, 2 * math.isqrt(steps) + 1)
+    return min(range(1, last + 1), key=lambda b: _scan_cost(steps, units, b))
 
 
 def _linear_scan(x: np.ndarray, m: np.ndarray, b: int) -> None:
@@ -393,7 +406,8 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
     a = p.leak_rate
     out = np.empty((u.shape[0], p.num_layers, p.units_per_layer))
     src, w_drive = u, res.input_weights
-    chunk = _chunk_length(u.shape[0], p.units_per_layer)
+    if p.activation == "linear":
+        chunk = _chunk_length(u.shape[0], p.units_per_layer)
     for i, w_rec in enumerate(res.recurrent_weights):
         if i > 0:
             src, w_drive = out[:, i - 1], res.inter_layer_weights[i - 1]

@@ -248,10 +248,13 @@ def test_one_layer_guess_scores_every_scale_from_one_fit():
     # the shared fit of the unit-scale states against a fit of s X per scale:
     # scale 0 predicts zero and scale 1 is the same fit, so both match bit for
     # bit; elsewhere lambda / s**2 moves the rounding, and at small lambda the
-    # near-singular directions amplify it. At 1e-160, lambda / s**2 overflows
-    # and the shared fit predicts zero, as the fit of s X nearly does.
+    # near-singular directions amplify it. At 1e-160 and 1e-170, lambda / s**2
+    # overflows for lambda > 0 and the shared fit predicts zero, as the fit of
+    # s X nearly does. At lambda = 0 every nonzero scale has the unit-scale
+    # minimum-norm fit, even where s**2 underflows to 0 (1e-170); the fit of
+    # s X there moves with rounding, hence the loose bound.
     task = de.MsoTask(5)
-    scales, lambdas = (0.0, 1e-160, 0.01, 0.1, 1.0), (0.0, 1e-8, 1e-6, 1e-3, 1.0)
+    scales, lambdas = (0.0, 1e-170, 1e-160, 0.01, 0.1, 1.0), (0.0, 1e-8, 1e-6, 1e-3, 1.0)
     grid = de.GridSpec(1, 8, input_scales=scales, leak_rates=(0.9,), spectral_radii=(0.7,),
                        ridge_lambdas=lambdas, guesses=1)
     u, targets = _signal_and_targets(task)
@@ -266,7 +269,10 @@ def test_one_layer_guess_scores_every_scale_from_one_fit():
                 assert got.tolist() == want.tolist()
             else:
                 np.testing.assert_allclose(got[held], want[held], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got[0], want[0], rtol=1e-3, atol=0)
                 assert np.isfinite(got).all()
+        if scale != 0.0:
+            assert [row[0] for row in shared] == [row[0] for row in scores[-1]]
 
 
 @pytest.mark.parametrize("layers, lambdas_per_fit", [(1, [36]), (2, [12, 12, 12])])

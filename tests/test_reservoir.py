@@ -333,9 +333,12 @@ def test_linear_scan_matches_recurrence_at_any_chunk_length(steps, b):
 
 
 def test_chunk_length_rule():
-    for steps in (1, 2, 3, 17, 1000):
+    # the rule searches b up to 2 isqrt(T) + 1 only; a search over every b
+    # must agree
+    for steps in (1, 2, 3, 17, 100, 1000):
         for units in (1, 6, 64, 100, 1000):
-            assert 1 <= rc._chunk_length(steps, units) <= steps
+            full = min(range(1, steps + 1), key=lambda b: rc._scan_cost(steps, units, b))
+            assert 1 <= rc._chunk_length(steps, units) == full <= steps
     assert rc._chunk_length(1000, 1000) <= 8
     # test_verify_equivalence_mso12_deep passes its 1e-14 bound at this chunk
     # length (at most 2.6e-15 over seeds 40-59)
