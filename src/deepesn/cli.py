@@ -269,7 +269,7 @@ def _analysis_params(args: argparse.Namespace, layers: int, units: int) -> Hyper
     point = (args.scale_in, args.leak, args.rho)
     return HyperParams(layers, units, 1,
                        *(d if v is None else v for v, d in zip(point, ANALYSIS_POINT)),
-                       "linear", args.seed)
+                       seed=args.seed)
 
 
 def _mso_signal(task_n: int, length: int) -> tuple[np.ndarray, tuple[float, ...]]:

@@ -16,11 +16,3 @@ class UnscalableMatrixError(RuntimeError):
     Raised after exhausting the retry substreams for a layer whose effective
     matrix has spectral radius below the scalable threshold.
     """
-
-
-class UnsupportedConfigurationError(ValueError):
-    """Operation invoked on a configuration it is not defined for.
-
-    The layered-to-flat rewrite exists only for linear activation; asking
-    for it on a saturating reservoir raises this.
-    """

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import UnsupportedConfigurationError
 from .reservoir import (DeepReservoir, StateTrajectory, _as_input_matrix,
                         _readonly, effective_matrix, run)
 
@@ -54,12 +53,8 @@ class EquivalenceReport:
 
 
 def flatten(res: DeepReservoir) -> FlatSystem:
-    """Assemble the equivalent flat system of a linear reservoir."""
+    """Assemble the equivalent flat system of a reservoir."""
     p = res.params
-    if p.activation != "linear":
-        raise UnsupportedConfigurationError(
-            "the layered-to-flat rewrite only exists for linear activation"
-        )
     n_l, n_r, a = p.num_layers, p.units_per_layer, p.leak_rate
     dim = n_l * n_r
 

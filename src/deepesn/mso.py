@@ -14,16 +14,16 @@ with the lowest mean validation NRMSE is selected and reported on the test
 range.
 
 Since the reservoir states do not depend on the ridge regularization, each
-guess is fit once per lambda from a shared factorization. With linear
-activation the states are likewise exactly linear in the input-scale value
-(layer i picks up one factor per crossing, scale**i), so the grid runner
+guess is fit once per lambda from a shared factorization. The units are
+linear, so the states are likewise exactly linear in the input-scale value
+(layer i picks up one factor per crossing, scale**i), and the grid runner
 derives all input-scale variants from a single unit-scale run per
-(leak, radius, guess); saturating units run once per scale. With one linear
-layer the input scale s is moreover redundant with lambda: the fit of s X at
-lambda predicts what the fit of X at lambda / s**2 does, so one factorization
-of the unit-scale states scores every (scale, lambda) of the guess. Deeper
-networks fit each scale apart, because the factors scale**i reweight the
-layers against each other, which no lambda can.
+(leak, radius, guess). With one layer the input scale s is moreover
+redundant with lambda: the fit of s X at lambda predicts what the fit of X
+at lambda / s**2 does, so one factorization of the unit-scale states scores
+every (scale, lambda) of the guess. Deeper networks fit each scale apart,
+because the factors scale**i reweight the layers against each other, which
+no lambda can.
 """
 
 from __future__ import annotations
@@ -135,7 +135,13 @@ def _signal_and_targets(task: MsoTask) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter candidates for model selection (benchmark defaults)."""
+    """Hyperparameter candidates for model selection (benchmark defaults).
+
+    Every guess is built at input scale 1 and rescaled, so no ``HyperParams``
+    sees the input scales: they are checked here, as the ridge lambdas are,
+    to be finite and nonnegative. Leak rates and spectral radii are checked
+    per pair, when its guesses are built, and a bad one fails that pair only.
+    """
 
     num_layers: int
     units_per_layer: int
@@ -145,7 +151,6 @@ class GridSpec:
     ridge_lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
     guesses: int = 10
     base_seed: int = 0
-    activation: str = "linear"
 
     def __post_init__(self):
         if not all(_is_int(n) and n >= 1
@@ -156,6 +161,10 @@ class GridSpec:
         for name in ("input_scales", "leak_rates", "spectral_radii", "ridge_lambdas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
+        for name in ("input_scales", "ridge_lambdas"):
+            bad = [v for v in getattr(self, name) if not 0.0 <= v < math.inf]
+            if bad:
+                raise ValueError(f"{name} must be finite and nonnegative, got {bad}")
 
 
 def _mean(values) -> float:
@@ -285,55 +294,47 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
                     leak: float, rho: float, seed: int) -> list:
     """One guess at every input scale: per scale, its (val, test) NRMSE rows or the exception.
 
-    Every scale is scored from one simulation's states. Linear units run
-    once, at unit scale, for all scales: their states are exactly linear in
-    the input scale, layer i scaling as scale**i, so a failed run fails every
-    scale. With one layer, one fit of the unit-scale states scores all scales
-    (``_score_scales``). Deeper networks fit each scale apart, on the states
-    with layer i times scale**i: that reweighting of the layers against each
-    other is no change of lambda, so their fits cannot share a factorization.
-    Saturating units run at each scale itself, scored with factors of 1.0,
-    which leave the states exact. A scale's states are checked to be finite
+    The guess runs once, at unit scale, for all scales: its states are
+    exactly linear in the input scale, layer i scaling as scale**i, so a
+    failed run fails every scale. With one layer, one fit of the unit-scale
+    states scores all scales (``_score_scales``). Deeper networks fit each
+    scale apart, on the states with layer i times scale**i: that reweighting
+    of the layers against each other is no change of lambda, so their fits
+    cannot share a factorization. A scale's states are checked to be finite
     before any fit: the largest magnitude per layer times that layer's
     factor overflows exactly when some state's product does, as rounding is
     monotone.
     """
-    linear = grid.activation == "linear"
+    scales = grid.input_scales
+    try:
+        params = HyperParams(grid.num_layers, grid.units_per_layer, leak_rate=leak,
+                             spectral_radius_target=rho, seed=seed)
+        states = run(init_reservoir(params), u).states
+    except Exception as exc:  # recorded per scale, excluded from selection
+        return [exc] * len(scales)
     layers = np.arange(1, grid.num_layers + 1)
-    # (input scale simulated at, the input scales its states serve)
-    runs = [(1.0, grid.input_scales)] if linear else [(s, (s,)) for s in grid.input_scales]
-    out = []
-    for simulated, served in runs:
+    peak = np.maximum(states.max(axis=0), -states.min(axis=0)).max(axis=1)  # per layer
+    factors = [float(s) ** layers for s in scales]
+    scores = [None if np.isfinite(peak * f).all() else RuntimeError(
+        f"non-finite reservoir states for input_scale={s} leak_rate={leak} "
+        f"spectral_radius={rho} seed={seed}") for s, f in zip(scales, factors)]
+    finite = [k for k, score in enumerate(scores) if score is None]
+    if grid.num_layers == 1:
         try:
-            params = HyperParams(grid.num_layers, grid.units_per_layer, 1, simulated, leak,
-                                 rho, grid.activation, seed)
-            states = run(init_reservoir(params), u).states
-        except Exception as exc:  # recorded per scale, excluded from selection
-            out += [exc] * len(served)
-            continue
-        peak = np.maximum(states.max(axis=0), -states.min(axis=0)).max(axis=1)  # per layer
-        factors = [float(s) ** layers if linear else np.ones(grid.num_layers) for s in served]
-        scores = [None if np.isfinite(peak * f).all() else RuntimeError(
-            f"non-finite reservoir states for input_scale={s} leak_rate={leak} "
-            f"spectral_radius={rho} seed={seed}") for s, f in zip(served, factors)]
-        finite = [k for k, score in enumerate(scores) if score is None]
-        if linear and grid.num_layers == 1:
+            shared = _score_scales(states, [scales[k] for k in finite], targets, split,
+                                   grid.ridge_lambdas)
+        except Exception as exc:
+            shared = [exc] * len(finite)
+        for k, score in zip(finite, shared):
+            scores[k] = score
+    else:
+        for k in finite:
             try:
-                shared = _score_scales(states, [served[k] for k in finite], targets, split,
-                                       grid.ridge_lambdas)
+                scores[k] = _score_states(states, factors[k], targets, split,
+                                          grid.ridge_lambdas)
             except Exception as exc:
-                shared = [exc] * len(finite)
-            for k, score in zip(finite, shared):
-                scores[k] = score
-        else:
-            for k in finite:
-                try:
-                    scores[k] = _score_states(states, factors[k], targets, split,
-                                              grid.ridge_lambdas)
-                except Exception as exc:
-                    scores[k] = exc
-        out += scores
-    return out
+                scores[k] = exc
+    return scores
 
 
 def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,

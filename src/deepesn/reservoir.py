@@ -6,11 +6,12 @@ updated state of the layer below it. With leak rate ``a``, input matrix
 ``W_in``, inter-layer matrices ``W_i`` and recurrent matrices ``What_i`` the
 update is
 
-    x_1(t) = (1-a) x_1(t-1) + a f(W_in u(t)   + What_1 x_1(t-1))
-    x_i(t) = (1-a) x_i(t-1) + a f(W_i x_{i-1}(t) + What_i x_i(t-1))    i > 1
+    x_1(t) = (1-a) x_1(t-1) + a (W_in u(t)   + What_1 x_1(t-1))
+    x_i(t) = (1-a) x_i(t-1) + a (W_i x_{i-1}(t) + What_i x_i(t-1))    i > 1
 
-with ``f`` the identity (linear units) or tanh (saturating units), and a zero
-initial state everywhere.
+from a zero initial state everywhere. The units are linear (an L-deepESN):
+the layered-to-flat rewrite and the layer-wise frequency analysis exist only
+for them, and ``run`` solves each layer as a linear recurrence.
 
 Stability is imposed at construction time: every layer's effective matrix
 ``(1-a) I + a What_i`` is rescaled to have spectral radius exactly equal to
@@ -29,8 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DegenerateConfigurationError, UnscalableMatrixError
-
-ACTIVATIONS = ("linear", "saturating")
 
 # Substream tags: one family of SeedSequence spawn keys per matrix role.
 _STREAM_INPUT = 0
@@ -54,7 +53,9 @@ class HyperParams:
 
     ``leak_rate`` and ``spectral_radius_target`` are common to every layer;
     ``input_scale`` bounds the entries of the input and inter-layer matrices.
-    A leak rate of 0 raises ``DegenerateConfigurationError``.
+    A leak rate of 0 raises ``DegenerateConfigurationError``. ``activation``
+    admits only ``"linear"``: it keeps the field order of callers that pass
+    every field by position.
     """
 
     num_layers: int
@@ -81,8 +82,9 @@ class HyperParams:
             raise ValueError("spectral_radius_target must be positive and finite")
         if not 0.0 <= self.input_scale < math.inf:
             raise ValueError("input_scale must be nonnegative and finite")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        if self.activation != "linear":
+            raise ValueError(f"activation must be 'linear', got {self.activation!r}: "
+                             "deepesn builds linear reservoirs only")
         if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an integer in [0, 2**64)")
 
@@ -266,12 +268,6 @@ def init_reservoir(params: HyperParams) -> DeepReservoir:
     )
 
 
-def _apply_activation(pre: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "linear":
-        return pre
-    return np.tanh(pre)
-
-
 def step(res: DeepReservoir, state: np.ndarray, input_vector: np.ndarray) -> np.ndarray:
     """Advance the layered state by one input.
 
@@ -290,10 +286,10 @@ def step(res: DeepReservoir, state: np.ndarray, input_vector: np.ndarray) -> np.
     a = p.leak_rate
     new = np.empty_like(state)
     pre = res.input_weights @ u + res.recurrent_weights[0] @ state[0]
-    new[0] = (1.0 - a) * state[0] + a * _apply_activation(pre, p.activation)
+    new[0] = (1.0 - a) * state[0] + a * pre
     for i in range(1, p.num_layers):
         pre = res.inter_layer_weights[i - 1] @ new[i - 1] + res.recurrent_weights[i] @ state[i]
-        new[i] = (1.0 - a) * state[i] + a * _apply_activation(pre, p.activation)
+        new[i] = (1.0 - a) * state[i] + a * pre
     return new
 
 
@@ -396,29 +392,22 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
 
     Layers are swept one at a time: layer ``i - 1``'s whole trajectory is
     known before layer ``i`` starts, because it only feeds forward, so each
-    layer's drive is one matrix product over all steps. Linear layers then
-    solve ``x_t = M x_{t-1} + a d_t`` with a blocked scan; saturating layers
-    step through time. The result equals repeated ``step`` up to rounding,
-    not bit for bit: the products are summed in another order.
+    layer's drive is one matrix product over all steps. Each layer then
+    solves ``x_t = M x_{t-1} + a d_t`` with a blocked scan. The result equals
+    repeated ``step`` up to rounding, not bit for bit: the products are summed
+    in another order.
     """
     p = res.params
     u = _as_input_matrix(inputs, p.input_dim)
     a = p.leak_rate
     out = np.empty((u.shape[0], p.num_layers, p.units_per_layer))
     src, w_drive = u, res.input_weights
-    if p.activation == "linear":
-        chunk = _chunk_length(u.shape[0], p.units_per_layer)
+    chunk = _chunk_length(u.shape[0], p.units_per_layer)
     for i, w_rec in enumerate(res.recurrent_weights):
         if i > 0:
             src, w_drive = out[:, i - 1], res.inter_layer_weights[i - 1]
         x = out[:, i]
         np.matmul(src, w_drive.T, out=x)
-        if p.activation == "linear":
-            x *= a
-            _linear_scan(x, effective_matrix(w_rec, a), chunk)
-        else:
-            state = np.zeros(p.units_per_layer)
-            for t in range(x.shape[0]):
-                state = (1.0 - a) * state + a * np.tanh(x[t] + w_rec @ state)
-                x[t] = state
+        x *= a
+        _linear_scan(x, effective_matrix(w_rec, a), chunk)
     return StateTrajectory(states=_readonly(out))

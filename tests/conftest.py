@@ -28,8 +28,7 @@ def gelfand_radius(m, squarings=60):
 def small_params():
     return de.HyperParams(num_layers=3, units_per_layer=6, input_dim=1,
                           input_scale=1.0, leak_rate=0.9,
-                          spectral_radius_target=0.7, activation="linear",
-                          seed=12345)
+                          spectral_radius_target=0.7, seed=12345)
 
 
 @pytest.fixture

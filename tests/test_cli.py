@@ -232,6 +232,22 @@ def test_run_rejects_bad_sizes_before_writing(tmp_path, capsys, monkeypatch, bad
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["--lambda=nan", "--lambda=-1e-8", "--lambda=inf",
+                                 "--scale-in=-0.1", "--scale-in=nan"])
+def test_run_rejects_bad_scale_or_lambda_before_writing(tmp_path, capsys, monkeypatch, bad):
+    # every guess is built at unit scale, so the grid itself checks the input
+    # scale and lambda; a NaN lambda would otherwise score the shallow model
+    # as a zero predictor and fail the deep one
+    monkeypatch.setattr(cli_mod, "grid_search", refuse)
+    out = tmp_path / "point"
+    code = main(["run", "--single", "--task", "mso5", "--scale-in", "0.1", "--leak", "0.9",
+                 "--rho", "0.7", "--lambda", "1e-8", "--allow-custom", "--model", "both",
+                 "--layers", "2", "--units", "2", "--guesses", "1", "--out", str(out), bad])
+    assert code == 2
+    assert "finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--grid", "--task", "mso5", "--guesses", "1", "--equivalence-check"],
     ["run", "--grid", "--task", "mso5", "--guesses", "1", "--equivalence-check",

@@ -5,7 +5,6 @@ import pytest
 
 import deepesn as de
 from deepesn import flat as flat_module
-from deepesn.exceptions import UnsupportedConfigurationError
 
 from conftest import gelfand_radius
 
@@ -71,12 +70,6 @@ def test_flatten_product_order_three_layers(rng):
     # input column of layer 3: (a W3)(a W2) a W_in
     expected_in = (a * w3) @ ((a * w2) @ (a * r.input_weights))
     np.testing.assert_allclose(flat.v_in[8:12], expected_in, rtol=1e-13)
-
-
-def test_flatten_rejects_saturating(small_params):
-    r = de.init_reservoir(dataclasses.replace(small_params, activation="saturating"))
-    with pytest.raises(UnsupportedConfigurationError):
-        de.flatten(r)
 
 
 def test_run_flat_zero_inputs(small_reservoir):
@@ -162,12 +155,6 @@ def test_verify_equivalence_catches_planted_weight_error(monkeypatch):
 def test_verify_equivalence_rejects_bad_tol(small_reservoir):
     with pytest.raises(ValueError):
         de.verify_equivalence(small_reservoir, np.ones(5), rel_tol=0.0)
-
-
-def test_verify_equivalence_propagates_unsupported(small_params):
-    r = de.init_reservoir(dataclasses.replace(small_params, activation="saturating"))
-    with pytest.raises(UnsupportedConfigurationError):
-        de.verify_equivalence(r, np.ones(5), rel_tol=1e-8)
 
 
 def test_spectrum_containment(rng):

@@ -137,7 +137,7 @@ def test_split_discipline_fit_slice_ignores_test_range():
 
 # ------------------------------------------------------- evaluation pipeline
 
-SMALL_PARAMS = de.HyperParams(2, 6, 1, 1.0, 0.9, 0.7, "linear", 0)
+SMALL_PARAMS = de.HyperParams(2, 6, leak_rate=0.9, spectral_radius_target=0.7, seed=0)
 
 SMALL_GRID = de.GridSpec(
     num_layers=2, units_per_layer=6, input_scales=(1.0,), leak_rates=(0.9,),
@@ -307,6 +307,20 @@ def test_guess_fits_once_unless_deep(monkeypatch, layers, lambdas_per_fit):
 ])
 def test_grid_spec_rejects_bad_sizes(kwargs):
     with pytest.raises(ValueError):
+        de.GridSpec(**{"num_layers": 2, "units_per_layer": 6, **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(input_scales=(0.1, -0.1)),
+    dict(input_scales=(float("nan"),)),
+    dict(input_scales=(float("inf"),)),
+    dict(ridge_lambdas=(1e-8, float("nan"))),
+    dict(ridge_lambdas=(-1e-8,)),
+    dict(ridge_lambdas=(float("inf"),)),
+])
+def test_grid_spec_rejects_bad_scales_and_lambdas(kwargs):
+    # every guess is built at unit scale, so no HyperParams checks the scales
+    with pytest.raises(ValueError, match="finite and nonnegative"):
         de.GridSpec(**{"num_layers": 2, "units_per_layer": 6, **kwargs})
 
 
@@ -573,26 +587,10 @@ def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
         assert unpinned.records == serial.records
 
 
-def test_saturating_grid_matches_hand_pipeline():
-    # saturating units run at each input scale and are scored with factors
-    # of 1.0: bitwise agreement with run + fit_ridge at that scale
-    task = de.MsoTask(5)
-    grid = dataclasses.replace(TINY_GRID, activation="saturating")
-    result = de.grid_search(task, grid)
-    assert result.failures == 0
-    for rec in result.records:
-        params = de.HyperParams(2, 5, 1, rec.input_scale, rec.leak_rate, rec.spectral_radius,
-                                "saturating", 0)
-        val, test = _hand_scores(task, params, (rec.ridge_lambda,), 2, base_seed=7)
-        assert rec.per_guess_val == tuple(val[:, 0])
-        assert rec.per_guess_test == tuple(test[:, 0])
-
-
-@pytest.mark.parametrize("activation,leak,simulated", [
-    ("linear", 0.9, [1.0]), ("saturating", 0.9, [0.1, 1.0]), ("linear", 0.0, [])])
-def test_guess_simulates_once_per_distinct_scale(monkeypatch, activation, leak, simulated):
-    # a linear guess serves its two input scales from one unit-scale run; a
-    # saturating guess runs each scale; leak 0 fails every scale before a run
+@pytest.mark.parametrize("leak,simulated", [(0.9, [1.0]), (0.0, [])])
+def test_guess_simulates_once_per_distinct_scale(monkeypatch, leak, simulated):
+    # a guess serves its two input scales from one unit-scale run; leak 0
+    # fails every scale before a run
     calls, real_run = [], mso.run
 
     def run(res, u):
@@ -601,24 +599,11 @@ def test_guess_simulates_once_per_distinct_scale(monkeypatch, activation, leak, 
 
     monkeypatch.setattr(mso, "run", run)
     task = de.MsoTask(5)
-    grid = dataclasses.replace(TINY_GRID, activation=activation)
     u, targets = _signal_and_targets(task)
-    scores = mso._evaluate_guess(u, targets, task.split, grid, leak, 0.7, 7)
+    scores = mso._evaluate_guess(u, targets, task.split, TINY_GRID, leak, 0.7, 7)
     assert calls == simulated
     outcome = tuple if simulated else de.DegenerateConfigurationError
     assert len(scores) == 2 and all(isinstance(s, outcome) for s in scores)
-
-
-def test_grid_search_saturating_fallback():
-    grid = dataclasses.replace(TINY_GRID, activation="saturating",
-                               input_scales=(0.1,), spectral_radii=(0.7,))
-    result = de.grid_search(de.MsoTask(5), grid)
-    assert result.failures == 0
-    assert result.selected is not None
-    # nonlinear states differ from the linear ones
-    linear = de.grid_search(de.MsoTask(5), dataclasses.replace(
-        grid, activation="linear"))
-    assert result.selected.mean_val_nrmse != linear.selected.mean_val_nrmse
 
 
 def test_selected_test_nrmse_raises_when_empty():

@@ -1,5 +1,6 @@
-"""The README's library quick start runs against the current API."""
+"""The README's library quick start and module table match the current API."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -26,3 +27,25 @@ def test_readme_quick_start_fits_next_step(capsys):
                         targets[split.test_slice])
     assert float(score) == expected
     assert check.split()[0] == "True"
+
+
+def test_public_names_resolve():
+    assert len(set(de.__all__)) == len(de.__all__)
+    missing = [name for name in de.__all__ if not hasattr(de, name)]
+    assert missing == []
+
+
+def test_readme_table_names_exist():
+    # every name in "What's in the box" exists in its module, so a dropped
+    # export cannot linger in the docs
+    section = README.read_text().split("## What's in the box", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(deepesn\.\w+)` *\| (.*) \|$", section, re.M)
+    assert len(rows) == 6
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        names = re.findall(r"`([\w-]+)`", contents)
+        if module_name == "deepesn.cli":  # the command and its subcommands
+            assert names == ["deepesn", *module._COMMANDS]
+            continue
+        assert [n for n in names if not hasattr(module, n)] == [], module_name
+        assert set(names) <= set(de.__all__), module_name

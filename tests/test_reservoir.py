@@ -41,6 +41,19 @@ def test_hyperparams_validation(kwargs):
         de.HyperParams(**kwargs)
 
 
+def test_hyperparams_builds_linear_reservoirs_only():
+    with pytest.raises(ValueError, match="linear reservoirs only"):
+        de.HyperParams(2, 5, activation="saturating")
+
+
+def test_hyperparams_positional_form():
+    # every field by position, activation included
+    p = de.HyperParams(3, 20, 1, 0.1, 0.9, 0.7, "linear", 7)
+    assert p == de.HyperParams(3, 20, input_scale=0.1, leak_rate=0.9,
+                               spectral_radius_target=0.7, seed=7)
+    assert de.init_reservoir(p).recurrent_weights[2].shape == (20, 20)
+
+
 def test_hyperparams_accepts_numpy_integers():
     p = de.HyperParams(np.int64(2), np.int32(3), input_dim=np.int64(1), seed=np.uint64(7))
     assert de.init_reservoir(p).recurrent_weights[1].shape == (3, 3)
@@ -225,17 +238,6 @@ def test_step_hand_expanded_two_layers():
     np.testing.assert_allclose(out[1], a * a * (w2 @ w_in @ u), rtol=1e-15)
 
 
-def test_step_saturating_applies_tanh():
-    p = de.HyperParams(1, 3, leak_rate=0.5, spectral_radius_target=0.9,
-                       activation="saturating", seed=11)
-    r = de.init_reservoir(p)
-    state = np.full((1, 3), 0.4)
-    u = np.array([2.0])
-    out = de.step(r, state, u)
-    pre = r.input_weights @ u + r.recurrent_weights[0] @ state[0]
-    np.testing.assert_allclose(out[0], 0.5 * state[0] + 0.5 * np.tanh(pre), rtol=1e-15)
-
-
 def test_step_dimension_errors(small_reservoir):
     with pytest.raises(ValueError):
         de.step(small_reservoir, np.zeros((2, 6)), np.zeros(1))
@@ -285,7 +287,6 @@ def _assert_layers_close(states, expected, rel=RUN_VS_STEP_REL):
 def test_run_matches_manual_stepping(small_reservoir, small_params, rng):
     reservoirs = [
         small_reservoir,
-        de.init_reservoir(dataclasses.replace(small_params, activation="saturating")),
         de.init_reservoir(dataclasses.replace(small_params, input_dim=2)),
     ]
     for r in reservoirs:
@@ -294,15 +295,12 @@ def test_run_matches_manual_stepping(small_reservoir, small_params, rng):
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 4, 15, 16, 17, 1000, 1001])
-@pytest.mark.parametrize("activation, input_dim", [
-    ("linear", 1), ("linear", 2), ("saturating", 1), ("saturating", 2),
-])
-def test_run_matches_step_across_chunk_shapes(small_params, activation, input_dim, steps):
+@pytest.mark.parametrize("input_dim", [1, 2], ids=["linear-1", "linear-2"])
+def test_run_matches_step_across_chunk_shapes(small_params, input_dim, steps):
     # at 6 units the chunk-length rule picks b = 1 (the sequential recurrence)
     # up to 4 steps, then b = 3, 2, 3, 20 and 24: one-step chunks, partial
     # last chunks and chunks that divide the steps
-    r = de.init_reservoir(dataclasses.replace(small_params, activation=activation,
-                                              input_dim=input_dim, seed=steps))
+    r = de.init_reservoir(dataclasses.replace(small_params, input_dim=input_dim, seed=steps))
     u = np.random.default_rng(steps).uniform(-1, 1, (steps, input_dim))
     _assert_layers_close(de.run(r, u).states, _stepped(r, u))
 
@@ -347,10 +345,9 @@ def test_chunk_length_rule():
 
 @settings(max_examples=30, deadline=None)
 @given(layers=st.integers(1, 4), units=st.integers(1, 12), steps=st.integers(1, 300),
-       activation=st.sampled_from(rc.ACTIVATIONS), seed=st.integers(0, 2 ** 16))
-def test_run_matches_step_property(layers, units, steps, activation, seed):
-    p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9,
-                       activation=activation, seed=seed)
+       seed=st.integers(0, 2 ** 16))
+def test_run_matches_step_property(layers, units, steps, seed):
+    p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9, seed=seed)
     r = de.init_reservoir(p)
     u = np.random.default_rng(seed).uniform(-1, 1, steps)
     _assert_layers_close(de.run(r, u).states, _stepped(r, u))
