@@ -12,19 +12,18 @@ files. ``run`` sweeps each grid point's guesses on one thread per usable core
 (``taskset``/``sched_setaffinity`` set which), at most ``--guesses``, with
 numpy's OpenBLAS at one thread, so its files are the same for any core count
 and BLAS setting; peak memory grows with the thread count, and ``taskset -c 0``
-gives the low-memory run. The analyses run their guesses serially: their cold weight
-initialisation is bound by dense eigenvalue solves, which do not speed up
-across threads.
+gives the low-memory run. ``spectrum`` runs its guesses serially: their cold
+weight initialisation is bound by dense eigenvalue solves, which do not speed
+up across threads.
 Records are appended to ``results.partial.csv`` as they complete (crash-safe);
 the final ``results.csv`` is written in canonical configuration order once the
 sweep finishes. A single configuration is a one-point grid and takes the same path.
 
-The analyses (``spectrum``, ``verify-flat`` and ``run``'s
-``--spectral-analysis``/``--equivalence-check``) use a linear reservoir at
-``ANALYSIS_POINT`` (input scale, leak rate, spectral radius). ``--scale-in``,
-``--leak`` and ``--rho`` override it; ``run``'s analyses fall back to it for
-any of the three the run leaves unset. ``run``'s and ``spectrum``'s
-``config.echo`` hold their parsed arguments; ``run --config`` replays one.
+The analyses (``spectrum`` and ``verify-flat``) use a linear reservoir at
+``ANALYSIS_POINT`` (input scale, leak rate, spectral radius) unless
+``--scale-in``, ``--leak`` or ``--rho`` says otherwise. ``run``'s and
+``spectrum``'s ``config.echo`` hold their parsed arguments; ``run --config``
+replays one.
 """
 
 from __future__ import annotations
@@ -61,23 +60,26 @@ EQUIVALENCE_REL_TOL = 1e-12
 
 
 def _check_run(args: argparse.Namespace) -> None:
-    """The rules of ``run`` that its parser cannot express."""
+    """The rules of ``run`` that its parser cannot express.
+
+    A grid sweeps every candidate, so it refuses the flags of a single point.
+    """
     point = (("--scale-in", args.scale_in, GridSpec.input_scales),
              ("--leak", args.leak, GridSpec.leak_rates),
-             ("--rho", args.rho, GridSpec.spectral_radii))
-    if args.single:
-        missing = [flag for flag, value, _ in point if value is None]
-        if missing:
-            raise ValueError(f"single mode requires {', '.join(missing)}")
-        if not args.allow_custom:
-            for flag, value, candidates in point:
-                _require_in_domain(flag, value, candidates)
-            if args.ridge_lambda is not None:
-                _require_in_domain("--lambda", args.ridge_lambda, GridSpec.ridge_lambdas)
-    if args.spectral_analysis:
-        _require_analysis_window(args.washout, args.length)
-    if args.equivalence_check:
-        _require_flat_memory(args.layers * args.units)
+             ("--rho", args.rho, GridSpec.spectral_radii),
+             ("--lambda", args.ridge_lambda, GridSpec.ridge_lambdas))
+    given = [entry for entry in point if entry[1] is not None]
+    if not args.single:
+        if given:
+            raise ValueError(f"a grid run sweeps every candidate; "
+                             f"{', '.join(flag for flag, _, _ in given)} needs --single")
+        return
+    missing = [flag for flag, value, _ in point[:3] if value is None]  # --lambda may sweep
+    if missing:
+        raise ValueError(f"single mode requires {', '.join(missing)}")
+    if not args.allow_custom:
+        for flag, value, candidates in given:
+            _require_in_domain(flag, value, candidates)
 
 
 def _physical_memory() -> Optional[int]:
@@ -89,14 +91,10 @@ def _physical_memory() -> Optional[int]:
 
 
 def _require_flat_memory(dim: int) -> None:
-    """The equivalence check's dense flat matrix must fit in half the physical memory.
-
-    Both models have ``layers * units`` units in all, so ``dim`` is the same
-    for ``--model deep`` and ``--model shallow``.
-    """
+    """``verify-flat``'s dense ``dim`` x ``dim`` flat matrix must fit in half the memory."""
     need, memory = 8 * dim * dim, _physical_memory()
     if memory is not None and need > memory // 2:
-        raise ValueError(f"--equivalence-check builds a dense {dim}x{dim} flat matrix of "
+        raise ValueError(f"verify-flat builds a dense {dim}x{dim} flat matrix of "
                          f"{need / 2 ** 30:.1f} GiB, more than half of the "
                          f"{memory / 2 ** 30:.1f} GiB of physical memory")
 
@@ -155,16 +153,14 @@ def run_experiment(args: argparse.Namespace) -> int:
     """Execute ``run`` with its parsed arguments and persist all artifacts.
 
     The arguments are written to ``config.echo``, which ``--config`` replays.
-    The task, every model's grid and the analyses' reservoir are built, and so
-    checked, before anything is written.
+    The task and every model's grid are built, and so checked, before anything
+    is written.
     """
     _check_run(args)
-    task = MsoTask(n=args.task, length=args.length)
+    task = MsoTask(n=args.task)
     models = ("deep", "shallow") if args.model == "both" else (args.model,)
     dims = {model: _model_dims(args, model) for model in models}
     grids = {model: _grid_spec(args, *dims[model]) for model in models}
-    if args.equivalence_check or args.spectral_analysis:
-        params = _analysis_params(args, *dims[models[0]])
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -208,11 +204,6 @@ def run_experiment(args: argparse.Namespace) -> int:
                                  f"spectral_radius={rec.spectral_radius}: {rec.error}\n")
 
     _write_summary(os.path.join(out, "summary.txt"), task, args, models, results)
-
-    if args.equivalence_check:
-        _write_json(os.path.join(out, "equivalence.txt"), _equivalence(task.n, params))
-    if args.spectral_analysis:
-        _write_spectra(out, *_spectra(args, params))
 
     if any(results[m].selected is None for m in models):
         print("error: experiment: no configuration evaluated successfully",
@@ -264,11 +255,9 @@ def _write_json(path: str, record: dict) -> None:
         fh.write("\n")
 
 
-def _analysis_params(args: argparse.Namespace, layers: int, units: int) -> HyperParams:
-    """The linear reservoir of the analyses; unset values come from ANALYSIS_POINT."""
-    point = (args.scale_in, args.leak, args.rho)
-    return HyperParams(layers, units, 1,
-                       *(d if v is None else v for v, d in zip(point, ANALYSIS_POINT)),
+def _analysis_params(args: argparse.Namespace) -> HyperParams:
+    """The linear reservoir of ``spectrum`` and ``verify-flat``."""
+    return HyperParams(args.layers, args.units, 1, args.scale_in, args.leak, args.rho,
                        seed=args.seed)
 
 
@@ -285,8 +274,7 @@ def _mso_signal(task_n: int, length: int) -> tuple[np.ndarray, tuple[float, ...]
     return generate_mso(task)[:length], task.phis
 
 
-def _equivalence(task_n: int, params: HyperParams, steps: int = 200,
-                 rel_tol: float = EQUIVALENCE_REL_TOL) -> dict:
+def _equivalence(task_n: int, params: HyperParams, steps: int, rel_tol: float) -> dict:
     """The ``equivalence.txt`` record of the layered-vs-flat check."""
     inputs, _ = _mso_signal(task_n, steps)
     report = verify_equivalence(init_reservoir(params), inputs, rel_tol)
@@ -368,7 +356,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     run_p.add_argument("--config", help="JSON object of flag values keyed as config.echo "
                        "writes them (an echo replays); flags given here win")
     _add_common(run_p)
-    run_p.add_argument("--length", type=int, default=1000)
     run_p.add_argument("--model", choices=("deep", "shallow", "both"), default="deep")
     mode = run_p.add_mutually_exclusive_group()
     mode.add_argument("--grid", action="store_true", help="full candidate-grid sweep (default)")
@@ -376,11 +363,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                       help="one configuration; requires --scale-in, --leak, --rho")
     _add_point(run_p)
     run_p.add_argument("--lambda", type=float, dest="ridge_lambda",
-                       help="single ridge value (default: sweep the full grid)")
+                       help="one ridge value for --single (default: every candidate)")
     run_p.add_argument("--guesses", type=int, default=10)
-    run_p.add_argument("--equivalence-check", action="store_true")
-    run_p.add_argument("--spectral-analysis", action="store_true")
-    run_p.add_argument("--washout", type=int, default=100)
     run_p.add_argument("--allow-custom", action="store_true",
                        help="accept values outside the benchmark candidate lists")
 
@@ -451,7 +435,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _spectrum(args: argparse.Namespace) -> int:
     _require_analysis_window(args.washout, args.length)
-    spectra = _spectra(args, _analysis_params(args, args.layers, args.units))
+    if not args.scale_in > 0:  # zero states leave every filtering ratio 0/0
+        raise ValueError(f"spectrum needs --scale-in > 0, got {args.scale_in}")
+    spectra = _spectra(args, _analysis_params(args))
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "config.echo"), vars(args))
     _write_spectra(args.out, *spectra)
@@ -460,7 +446,7 @@ def _spectrum(args: argparse.Namespace) -> int:
 
 def _verify_flat(args: argparse.Namespace) -> int:
     _require_flat_memory(args.layers * args.units)
-    params = _analysis_params(args, args.layers, args.units)
+    params = _analysis_params(args)
     record = _equivalence(args.task, params, steps=args.steps, rel_tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "equivalence.txt"), record)

@@ -303,21 +303,24 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
     cannot share a factorization. A scale's states are checked to be finite
     before any fit: the largest magnitude per layer times that layer's
     factor overflows exactly when some state's product does, as rounding is
-    monotone.
+    monotone. numpy's overflow and invalid-value warnings are off for both,
+    here on the pool thread (numpy 2 keeps that setting per thread): a
+    divergent guess's error records report it.
     """
     scales = grid.input_scales
-    try:
-        params = HyperParams(grid.num_layers, grid.units_per_layer, leak_rate=leak,
-                             spectral_radius_target=rho, seed=seed)
-        states = run(init_reservoir(params), u).states
-    except Exception as exc:  # recorded per scale, excluded from selection
-        return [exc] * len(scales)
-    layers = np.arange(1, grid.num_layers + 1)
-    peak = np.maximum(states.max(axis=0), -states.min(axis=0)).max(axis=1)  # per layer
-    factors = [float(s) ** layers for s in scales]
-    scores = [None if np.isfinite(peak * f).all() else RuntimeError(
-        f"non-finite reservoir states for input_scale={s} leak_rate={leak} "
-        f"spectral_radius={rho} seed={seed}") for s, f in zip(scales, factors)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            params = HyperParams(grid.num_layers, grid.units_per_layer, leak_rate=leak,
+                                 spectral_radius_target=rho, seed=seed)
+            states = run(init_reservoir(params), u).states
+        except Exception as exc:  # recorded per scale, excluded from selection
+            return [exc] * len(scales)
+        layers = np.arange(1, grid.num_layers + 1)
+        peak = np.maximum(states.max(axis=0), -states.min(axis=0)).max(axis=1)  # per layer
+        factors = [float(s) ** layers for s in scales]
+        scores = [None if np.isfinite(peak * f).all() else RuntimeError(
+            f"non-finite reservoir states for input_scale={s} leak_rate={leak} "
+            f"spectral_radius={rho} seed={seed}") for s, f in zip(scales, factors)]
     finite = [k for k, score in enumerate(scores) if score is None]
     if grid.num_layers == 1:
         try:

@@ -178,21 +178,6 @@ def test_run_shallow_model_dims(tmp_path):
     assert rec["units_per_layer"] == "6"
 
 
-def test_run_equivalence_and_spectral_flags(tmp_path):
-    out = tmp_path / "full"
-    code = main(["run", "--task", "mso5", "--single", "--scale-in", "1",
-                 "--leak", "0.9", "--rho", "0.7", "--layers", "2", "--units", "4",
-                 "--guesses", "2", "--lambda", "1e-6", "--equivalence-check",
-                 "--spectral-analysis", "--out", str(out)])
-    assert code == 0
-    assert json.loads((out / "equivalence.txt").read_text())["pass"] is True
-    spectra = read_lines(out / "spectra.csv")
-    assert spectra[0] == "layer,frequency,magnitude"
-    assert len(spectra) == 1 + 2 * 451
-    spikes = read_lines(out / "spikes.csv")
-    assert len(spikes) == 1 + 2
-
-
 def test_run_config_file_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -207,28 +192,26 @@ def test_run_config_file_defaults(tmp_path):
     assert "workers" not in echo
 
 
-def test_run_rejects_washout_before_sweep(tmp_path, capsys):
-    out = tmp_path / "washout"
-    code = main(["run", "--task", "mso5", "--grid", "--layers", "1", "--units", "2",
-                 "--guesses", "1", "--washout", "5000", "--spectral-analysis",
-                 "--out", str(out)])
-    assert code == 2
-    assert "washout" in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
+#: Flags ``run`` no longer has: the analyses are ``spectrum`` and ``verify-flat``,
+#: and the split scores steps 1-1000 only.
+REMOVED_RUN_FLAGS = ("--length", "--spectral-analysis", "--equivalence-check", "--washout")
 
 
 @pytest.mark.parametrize("bad", [["--guesses", "0"], ["--layers", "0"], ["--units", "0"],
-                                 ["--length", "500"], ["--task", "mso13"],
-                                 ["--leak", "1.5", "--spectral-analysis"],
-                                 ["--leak", "0", "--spectral-analysis"],
-                                 ["--leak", "0", "--equivalence-check"]])
+                                 ["--length", "1000"], ["--task", "mso13"],
+                                 ["--spectral-analysis"], ["--equivalence-check"],
+                                 ["--washout", "100"],
+                                 ["--scale-in", "1"], ["--leak", "0.5"], ["--rho", "0.7"],
+                                 ["--lambda", "1e-6", "--leak", "0.5"]])
 def test_run_rejects_bad_sizes_before_writing(tmp_path, capsys, monkeypatch, bad):
+    # a grid sweeps every candidate, so it refuses a point it would ignore
     monkeypatch.setattr(cli_mod, "grid_search", refuse)
     out = tmp_path / "sizes"
     code = main(["run", "--grid", "--task", "mso5", "--layers", "1", "--units", "2",
                  "--guesses", "1", "--out", str(out)] + bad)  # the later flag wins
     assert code == 2
-    assert "error: config" in capsys.readouterr().err
+    removed = bad[0] in REMOVED_RUN_FLAGS
+    assert ("unrecognized arguments" if removed else "error: config") in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -248,19 +231,12 @@ def test_run_rejects_bad_scale_or_lambda_before_writing(tmp_path, capsys, monkey
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--grid", "--task", "mso5", "--guesses", "1", "--equivalence-check"],
-    ["run", "--grid", "--task", "mso5", "--guesses", "1", "--equivalence-check",
-     "--model", "shallow"],
-    ["verify-flat"],
-])
-def test_flat_check_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch, argv):
+def test_flat_check_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch):
     # 2 layers x 10 units flatten to a 20x20 matrix of 3200 bytes
-    monkeypatch.setattr(cli_mod, "grid_search", refuse)
     monkeypatch.setattr(cli_mod, "verify_equivalence", refuse)
     monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * 3200 - 1)
     out = tmp_path / "flat"
-    assert main([*argv, "--layers", "2", "--units", "10", "--out", str(out)]) == 2
+    assert main(["verify-flat", "--layers", "2", "--units", "10", "--out", str(out)]) == 2
     assert "dense 20x20 flat matrix" in capsys.readouterr().err
     assert not out.exists()
 
@@ -290,7 +266,9 @@ def test_main_returns_parser_exit_codes(tmp_path, capsys):
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert main(["run", "--layers", "two", "--out", str(tmp_path / "bogus")]) == 2
     assert main(["run", "--help"]) == 0
-    assert "--spectral-analysis" in capsys.readouterr().out
+    usage = capsys.readouterr().out
+    assert "--allow-custom" in usage
+    assert [flag for flag in REMOVED_RUN_FLAGS if flag in usage] == []
     assert not (tmp_path / "bogus").exists()
 
 
@@ -309,21 +287,20 @@ def test_run_config_file_unknown_field(tmp_path, capsys):
 # ------------------------------------------------------------------- run grid
 
 def test_run_analyses_default_to_analysis_point(tmp_path):
-    # a grid run names no scale, leak or radius: its analyses use the same
-    # point as the standalone spectrum and verify-flat commands
+    # spectrum and verify-flat run at ANALYSIS_POINT unless told otherwise:
+    # naming it changes no byte
     common = ["--task", "mso5", "--layers", "2", "--units", "3", "--seed", "4"]
-    run_out, spec_out, eq_out = tmp_path / "run", tmp_path / "spec", tmp_path / "eq"
-    assert main(["run", "--grid", "--guesses", "1", "--spectral-analysis",
-                 "--equivalence-check", "--out", str(run_out)] + common) == 0
-    assert main(["spectrum", "--guesses", "1", "--out", str(spec_out)] + common) == 0
-    assert main(["verify-flat", "--out", str(eq_out)] + common) == 0
-    for name in ("spectra.csv", "spikes.csv"):
-        assert (run_out / name).read_bytes() == (spec_out / name).read_bytes()
-    run_eq = json.loads((run_out / "equivalence.txt").read_text())
-    flat_eq = json.loads((eq_out / "equivalence.txt").read_text())
-    assert run_eq["config"] == flat_eq["config"]
-    assert (run_eq["config"]["input_scale"], run_eq["config"]["leak_rate"],
-            run_eq["config"]["spectral_radius_target"]) == ANALYSIS_POINT
+    scale, leak, rho = (str(v) for v in ANALYSIS_POINT)
+    point = ["--scale-in", scale, "--leak", leak, "--rho", rho]
+    for name, flags in (("default", common), ("named", common + point)):
+        assert main(["spectrum", "--guesses", "1", "--out", str(tmp_path / name)] + flags) == 0
+        assert main(["verify-flat", "--out", str(tmp_path / name / "eq")] + flags) == 0
+    default, named = tmp_path / "default", tmp_path / "named"
+    for name in ("spectra.csv", "spikes.csv", "eq/equivalence.txt"):
+        assert (default / name).read_bytes() == (named / name).read_bytes()
+    config = json.loads((default / "eq" / "equivalence.txt").read_text())["config"]
+    assert (config["input_scale"], config["leak_rate"],
+            config["spectral_radius_target"]) == ANALYSIS_POINT
 
 
 def test_run_grid_small_shallow(tmp_path):
@@ -425,8 +402,7 @@ REPLAYED_RUNS = [
     ["--task", "mso5", "--grid", "--model", "both", "--layers", "3", "--units", "20",
      "--guesses", "2", "--seed", "42"],
     ["--task", "mso5", "--single", "--scale-in", "1", "--leak", "0.9", "--rho", "0.7",
-     "--layers", "4", "--units", "30", "--guesses", "3", "--seed", "7",
-     "--spectral-analysis", "--equivalence-check"],
+     "--layers", "4", "--units", "30", "--guesses", "3", "--seed", "7"],
 ]
 
 
@@ -484,6 +460,7 @@ def test_run_flags_win_over_config(tmp_path):
     ["verify-flat", "--steps", "0"],
     ["verify-flat", "--tol", "0"],
     ["verify-flat", "--layers", "0"],
+    ["spectrum", "--scale-in", "0"],  # all-zero states: every filtering ratio 0/0
 ])
 def test_analyses_reject_bad_values_before_writing(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli_mod, "run", refuse)

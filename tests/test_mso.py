@@ -211,7 +211,6 @@ def test_guess_permutation_invariance_of_means():
     assert _mean(values) == math.fsum(values) / 10
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_grid_search_nonfinite_states_diagnostic():
     grid = dataclasses.replace(SMALL_GRID, spectral_radii=(50.0,),
                                ridge_lambdas=(1e-4,), guesses=1)
@@ -221,6 +220,18 @@ def test_grid_search_nonfinite_states_diagnostic():
     error = result.records[0].error
     assert error.startswith("RuntimeError: non-finite reservoir states")
     assert "spectral_radius=50.0" in error
+
+
+def test_divergent_guesses_are_records_not_warnings():
+    # the error records report divergence; numpy's overflow warnings stay off,
+    # on the pool threads too (numpy 2 keeps its error state per thread)
+    grid = de.GridSpec(3, 20, leak_rates=(0.9,), spectral_radii=(50.0,), guesses=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = de.grid_search(de.MsoTask(5), grid)
+    assert result.failures == len(grid.input_scales) == len(result.records)
+    assert all(r.error.startswith("RuntimeError: non-finite reservoir states")
+               for r in result.records)
 
 
 def test_linear_guess_memory_is_states_plus_a_few_ranges():

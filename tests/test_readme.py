@@ -1,10 +1,14 @@
-"""The README's library quick start and module table match the current API."""
+"""The README's library quick start, module table and commands match the current API."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import deepesn as de
+from deepesn import cli
 from deepesn.mso import _signal_and_targets
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -49,3 +53,21 @@ def test_readme_table_names_exist():
             continue
         assert [n for n in names if not hasattr(module, n)] == [], module_name
         assert set(names) <= set(de.__all__), module_name
+
+
+def test_readme_commands_parse():
+    # every deepesn command in the README's sh blocks parses (nothing runs),
+    # so a removed flag cannot linger in the docs
+    parser, _ = cli._build_parser()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["deepesn"]:
+                commands.append(words[1:])
+    assert {argv[0] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: deepesn {shlex.join(argv)}")
