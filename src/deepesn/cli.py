@@ -105,6 +105,12 @@ def _require_analysis_window(washout: int, length: int) -> None:
                          f"2 analysis steps), got washout={washout}")
 
 
+def _require_driven(command: str, scale_in: float) -> None:
+    """An analysis needs input: at ``--scale-in 0`` every state is zero."""
+    if not scale_in > 0:
+        raise ValueError(f"{command} needs --scale-in > 0, got {scale_in}")
+
+
 def _require_in_domain(name: str, value: float, candidates: Sequence[float]) -> None:
     if not any(math.isclose(value, c, rel_tol=1e-12) for c in candidates):
         raise ValueError(
@@ -435,8 +441,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _spectrum(args: argparse.Namespace) -> int:
     _require_analysis_window(args.washout, args.length)
-    if not args.scale_in > 0:  # zero states leave every filtering ratio 0/0
-        raise ValueError(f"spectrum needs --scale-in > 0, got {args.scale_in}")
+    _require_driven("spectrum", args.scale_in)  # zero states: every filtering ratio 0/0
     spectra = _spectra(args, _analysis_params(args))
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "config.echo"), vars(args))
@@ -445,6 +450,7 @@ def _spectrum(args: argparse.Namespace) -> int:
 
 
 def _verify_flat(args: argparse.Namespace) -> int:
+    _require_driven("verify-flat", args.scale_in)  # zero states: every gap is 0, a pass
     _require_flat_memory(args.layers * args.units)
     params = _analysis_params(args)
     record = _equivalence(args.task, params, steps=args.steps, rel_tol=args.tol)

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .readout import fit_ridge_sweep, nrmse, predict
+from .readout import _nrmse_rows, fit_ridge_sweep, nrmse
 from .reservoir import HyperParams, _is_int, init_reservoir, run
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
@@ -222,19 +222,19 @@ def _score_states(states: np.ndarray, factors: Optional[np.ndarray], targets: np
     ``states`` is the guess's ``(steps, layers, units)`` trajectory; each split
     range is scored from its rows with layer i times ``factors[i]``, made
     fresh and dropped before the next range, so a guess holds its states plus
-    one range. Without factors the rows are views of the states.
+    one range. Without factors the rows are views of the states. A range is
+    scored for every lambda at once, by one stacked product of one
+    matrix-vector product per lambda, so each lambda's predictions and
+    scores are the bits ``predict`` and ``nrmse`` give for its fit alone.
     """
     def rows(sl: slice) -> np.ndarray:
         block = states[sl] if factors is None else states[sl] * factors[:, None]
         return block.reshape(sl.stop - sl.start, -1)
 
     fits = fit_ridge_sweep(rows(split.fit_slice), targets[split.fit_slice], lambdas)
-    scores = []
-    for sl in (split.validation_slice, split.test_slice):
-        block = rows(sl)
-        scores.append(np.array([nrmse(predict(f, block)[:, 0], targets[sl]) for f in fits]))
-        del block
-    return scores[0], scores[1]
+    weights = np.stack([f.weights[0] for f in fits])[:, :, None]   # (lambdas, features, 1)
+    return tuple(_nrmse_rows(np.matmul(rows(sl), weights)[:, :, 0], targets[sl])
+                 for sl in (split.validation_slice, split.test_slice))
 
 
 def _score_scales(states: np.ndarray, scales: Sequence[float], targets: np.ndarray,

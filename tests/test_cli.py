@@ -461,6 +461,7 @@ def test_run_flags_win_over_config(tmp_path):
     ["verify-flat", "--tol", "0"],
     ["verify-flat", "--layers", "0"],
     ["spectrum", "--scale-in", "0"],  # all-zero states: every filtering ratio 0/0
+    ["verify-flat", "--scale-in", "0"],  # all-zero states: every gap 0, a vacuous pass
 ])
 def test_analyses_reject_bad_values_before_writing(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli_mod, "run", refuse)

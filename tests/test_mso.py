@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import math
@@ -189,6 +190,51 @@ def test_evaluate_config_matches_hand_pipeline():
     [(scale, records)] = _evaluate_pair(task, grid, 0.9, 0.7)
     assert scale == 1.0
     val, test = _hand_scores(task, SMALL_PARAMS, (1e-6,), 2, base_seed=3)
+    assert records[0].per_guess_val == tuple(val[:, 0])
+    assert records[0].per_guess_test == tuple(test[:, 0])
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread, as in a sweep's guesses (no-op without its symbols)."""
+    threads = mso._openblas_threads()
+    if threads is None:
+        yield
+        return
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+WIDE_PARAMS = dataclasses.replace(SMALL_PARAMS, units_per_layer=200)
+
+
+def test_grid_search_matches_hand_pipeline_wide():
+    # 2x200 = 400 features over 300 fit rows: the QR route. Bitwise agreement
+    # holds only if no product mixes the lambdas (one GEMM over all their
+    # columns rounds differently from a lone fit's matrix-vector product)
+    task = de.MsoTask(5)
+    grid = dataclasses.replace(SMALL_GRID, units_per_layer=200, base_seed=3,
+                               ridge_lambdas=de.DEFAULT_LAMBDAS)
+    result = de.grid_search(task, grid)
+    with _one_blas_thread():
+        val, test = _hand_scores(task, WIDE_PARAMS, grid.ridge_lambdas, 2, base_seed=3)
+    for j, rec in enumerate(result.records):
+        assert rec.per_guess_val == tuple(val[:, j])
+        assert rec.per_guess_test == tuple(test[:, j])
+
+
+def test_evaluate_config_matches_hand_pipeline_wide():
+    task = de.MsoTask(5)
+    grid = dataclasses.replace(SMALL_GRID, units_per_layer=200, ridge_lambdas=(1e-6,),
+                               base_seed=3)
+    with _one_blas_thread():  # _evaluate_pair maps the guesses in this thread
+        [(scale, records)] = _evaluate_pair(task, grid, 0.9, 0.7)
+        val, test = _hand_scores(task, WIDE_PARAMS, (1e-6,), 2, base_seed=3)
     assert records[0].per_guess_val == tuple(val[:, 0])
     assert records[0].per_guess_test == tuple(test[:, 0])
 

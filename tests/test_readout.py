@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,12 +94,50 @@ def test_positive_lambda_never_flags(rng):
 
 
 def test_sweep_matches_individual_fits(rng):
-    x = rng.standard_normal((15, 30))
-    y = rng.standard_normal((15, 2))
-    sweep = de.fit_ridge_sweep(x, y, LAMBDA_GRID)
-    for lam, fit in zip(LAMBDA_GRID, sweep):
-        assert fit.regularization == lam
-        np.testing.assert_array_equal(fit.weights, de.fit_ridge(x, y, lam).weights)
+    # a lambda's weights are the same bits alone as in a sweep. Wide shapes
+    # map through the QR's reflectors in blocks of 32: t below one block, t
+    # a multiple of it, several blocks with a partial last one; then tall
+    # shapes, and 1 to 3 outputs, lambda = 0 included
+    lambdas = (0.0,) + LAMBDA_GRID
+    for shape in [(15, 30), (20, 45), (64, 150), (100, 250), (40, 12), (30, 30)]:
+        x = rng.standard_normal(shape)
+        for outputs in (1, 2, 3):
+            y = rng.standard_normal((shape[0], outputs))
+            sweep = de.fit_ridge_sweep(x, y, lambdas)
+            for lam, fit in zip(lambdas, sweep):
+                assert fit.regularization == lam
+                assert fit.weights.shape == (outputs, shape[1])
+                np.testing.assert_array_equal(fit.weights, de.fit_ridge(x, y, lam).weights)
+
+
+def test_wide_sweep_matches_lstsq_oracles(rng):
+    # several reflector blocks (t = 100 against blocks of 32). Oracles from
+    # LAPACK least squares: ridge as the augmented problem [X; sqrt(lam) I] w
+    # = [y; 0], lambda = 0 as the minimum-norm solution. The augmented
+    # matrix has condition number about sigma_max / sqrt(lam) (X's null space
+    # meets only sqrt(lam) I), so no lambda below 1e-3 gives a sharp oracle.
+    # A first sample along the first feature makes LAPACK's first reflector
+    # the identity (tau = 0), which must not divide by zero
+    x = rng.standard_normal((100, 250))
+    y = rng.standard_normal((100, 2))
+    lambdas = (0.0, 1e-3, 1.0, 1e2)
+    identity_first = x.copy()
+    identity_first[0] = 0.0
+    identity_first[0, 0] = 2.0
+    for states in (x, identity_first):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = de.fit_ridge_sweep(states, y, lambdas)
+        for lam, fit in zip(lambdas, fits):
+            if lam > 0.0:
+                aug_x = np.vstack([states, math.sqrt(lam) * np.eye(250)])
+                aug_y = np.vstack([y, np.zeros((250, 2))])
+                oracle, *_ = np.linalg.lstsq(aug_x, aug_y, rcond=None)
+            else:
+                oracle, *_ = np.linalg.lstsq(states, y, rcond=None)
+            assert fit.rank == 100 and fit.rank_deficient == (lam == 0.0)
+            np.testing.assert_allclose(fit.weights.T, oracle, rtol=0,
+                                       atol=1e-12 * np.abs(oracle).max())
 
 
 def test_fit_errors():
