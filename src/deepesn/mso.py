@@ -16,14 +16,14 @@ range.
 Since the reservoir states do not depend on the ridge regularization, each
 guess is fit once per lambda from a shared factorization. The units are
 linear, so the states are likewise exactly linear in the input-scale value
-(layer i picks up one factor per crossing, scale**i), and the grid runner
+(layer i picks up one factor per crossing, s**i), and the grid runner
 derives all input-scale variants from a single unit-scale run per
-(leak, radius, guess). With one layer the input scale s is moreover
-redundant with lambda: the fit of s X at lambda predicts what the fit of X
-at lambda / s**2 does, so one factorization of the unit-scale states scores
-every (scale, lambda) of the guess. Deeper networks fit each scale apart,
-because the factors scale**i reweight the layers against each other, which
-no lambda can.
+(leak, radius, guess). One rule scores them: the fit of the states at
+scale s and lambda predicts what the fit of the unit-scale states with
+layer i weighted s**(i-1) does at lambda / s**2, so the scales that share
+those weights share one factorization. With one layer every weight is 1
+and one fit scores every (scale, lambda) of the guess; a deep guess has one
+group, and one fit, per scale.
 """
 
 from __future__ import annotations
@@ -93,36 +93,28 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class MsoTask:
-    """An MSO-n next-step prediction task.
-
-    Omitting ``phis`` selects the first n canonical frequencies, which is
-    the benchmark definition; custom frequency lists are accepted as an
-    extension point.
-    """
+    """An MSO-n next-step prediction task, on the first n canonical frequencies."""
 
     n: int
     length: int = 1000
     split: SplitSpec = SplitSpec()
-    phis: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.phis is None:
-            if not 1 <= self.n <= len(CANONICAL_PHIS):
-                raise ValueError(f"n must lie in [1, {len(CANONICAL_PHIS)}] for canonical frequencies")
-            object.__setattr__(self, "phis", CANONICAL_PHIS[: self.n])
-        else:
-            object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
-            if len(self.phis) != self.n or self.n < 1:
-                raise ValueError("phis must hold exactly n frequencies")
+        if not 1 <= self.n <= len(CANONICAL_PHIS):
+            raise ValueError(f"n must lie in [1, {len(CANONICAL_PHIS)}] for canonical frequencies")
         if self.length < self.split.required_length:
             raise ValueError(
                 f"length {self.length} is shorter than the split end "
                 f"{self.split.required_length}"
             )
 
+    @property
+    def phis(self) -> tuple[float, ...]:
+        return CANONICAL_PHIS[: self.n]
+
 
 def generate_mso(task: MsoTask) -> np.ndarray:
-    """The MSO signal u(t) for t = 1..length. Pure function of (phis, length)."""
+    """The MSO signal u(t) for t = 1..length. Pure function of (n, length)."""
     t = np.arange(1, task.length + 1, dtype=float)
     return np.sin(np.outer(np.asarray(task.phis), t)).sum(axis=0)
 
@@ -237,31 +229,6 @@ def _score_states(states: np.ndarray, factors: Optional[np.ndarray], targets: np
                  for sl in (split.validation_slice, split.test_slice))
 
 
-def _score_scales(states: np.ndarray, scales: Sequence[float], targets: np.ndarray,
-                  split: SplitSpec, lambdas: Sequence[float]) -> list:
-    """(val, test) NRMSE rows per input scale of a one-layer linear guess, from one fit.
-
-    At scale s the states are s X, X those at unit scale, and the ridge fit
-    of s X at lambda predicts what the fit of X at lambda / s**2 predicts:
-    both put gain s sigma / (s**2 sigma**2 + lambda) on X's singular values.
-    So one sweep over the unit-scale rows serves every (scale, lambda). At
-    scale 0, and wherever lambda > 0 and lambda / s**2 overflows, the weights
-    vanish and so do the predictions; at lambda = 0 every nonzero scale has
-    the unit-scale fit, however small its square.
-    """
-    lams = np.asarray(lambdas, dtype=float)
-    scale = np.asarray(scales, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        unit_lams = np.where(lams == 0.0, 0.0, lams / np.square(scale)[:, None])
-    unit_lams[scale == 0.0] = np.inf
-    live = np.isfinite(unit_lams)
-    val, test = (np.full(unit_lams.shape, nrmse(np.zeros(sl.stop - sl.start), targets[sl]))
-                 for sl in (split.validation_slice, split.test_slice))
-    if live.any():
-        val[live], test[live] = _score_states(states, None, targets, split, unit_lams[live])
-    return list(zip(val, test))
-
-
 def _records_from_scores(scale: float, leak: float, rho: float,
                          lambdas: Sequence[float], val: np.ndarray,
                          test: np.ndarray) -> list[ConfigResult]:
@@ -294,18 +261,21 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
                     leak: float, rho: float, seed: int) -> list:
     """One guess at every input scale: per scale, its (val, test) NRMSE rows or the exception.
 
-    The guess runs once, at unit scale, for all scales: its states are
-    exactly linear in the input scale, layer i scaling as scale**i, so a
-    failed run fails every scale. With one layer, one fit of the unit-scale
-    states scores all scales (``_score_scales``). Deeper networks fit each
-    scale apart, on the states with layer i times scale**i: that reweighting
-    of the layers against each other is no change of lambda, so their fits
-    cannot share a factorization. A scale's states are checked to be finite
-    before any fit: the largest magnitude per layer times that layer's
-    factor overflows exactly when some state's product does, as rounding is
-    monotone. numpy's overflow and invalid-value warnings are off for both,
-    here on the pool thread (numpy 2 keeps that setting per thread): a
-    divergent guess's error records report it.
+    The guess runs once, at unit scale, for all scales: its states X are
+    exactly linear in the input scale, layer i scaling as s**i, so a failed
+    run fails every scale. At scale s > 0 the states are s X D, D weighting
+    layer i by s**(i-1), and the ridge fit of s X D at lambda predicts what
+    the fit of X D at lambda / s**2 predicts. So the scales that share D
+    share one fit over their concatenated lambda / s**2: one layer has one
+    group (D = 1), a deep guess one group per scale. At scale 0, and wherever
+    lambda > 0 and lambda / s**2 overflows, the weights vanish and the
+    prediction is zero; at lambda = 0 every nonzero scale keeps the fit of
+    X D, however small s**2. A scale's states are checked to be finite
+    before any fit: the largest magnitude per layer times s**i overflows
+    exactly when some state's product does, as rounding is monotone. numpy's
+    overflow and invalid-value warnings are off for both, here on the pool
+    thread (numpy 2 keeps that setting per thread): a divergent guess's
+    error records report it.
     """
     scales = grid.input_scales
     with np.errstate(over="ignore", invalid="ignore"):
@@ -315,28 +285,35 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
             states = run(init_reservoir(params), u).states
         except Exception as exc:  # recorded per scale, excluded from selection
             return [exc] * len(scales)
-        layers = np.arange(1, grid.num_layers + 1)
+        layers = np.arange(grid.num_layers)
         peak = np.maximum(states.max(axis=0), -states.min(axis=0)).max(axis=1)  # per layer
-        factors = [float(s) ** layers for s in scales]
-        scores = [None if np.isfinite(peak * f).all() else RuntimeError(
+        scores = [None if np.isfinite(peak * float(s) ** (layers + 1)).all() else RuntimeError(
             f"non-finite reservoir states for input_scale={s} leak_rate={leak} "
-            f"spectral_radius={rho} seed={seed}") for s, f in zip(scales, factors)]
-    finite = [k for k, score in enumerate(scores) if score is None]
-    if grid.num_layers == 1:
+            f"spectral_radius={rho} seed={seed}") for s in scales]
+    groups = {}  # D's bytes -> (D, indices of the scales sharing it)
+    for k, score in enumerate(scores):
+        if score is None:
+            factors = float(scales[k]) ** layers
+            groups.setdefault(factors.tobytes(), (factors, []))[1].append(k)
+    lams = np.asarray(grid.ridge_lambdas, dtype=float)
+    for factors, members in groups.values():
+        scale = np.array([scales[k] for k in members], dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            unit_lams = np.where(lams == 0.0, 0.0, lams / np.square(scale)[:, None])
+        unit_lams[scale == 0.0] = np.inf
+        live = np.isfinite(unit_lams)
+        val, test = (np.full(unit_lams.shape, nrmse(np.zeros(sl.stop - sl.start), targets[sl]))
+                     for sl in (split.validation_slice, split.test_slice))
         try:
-            shared = _score_scales(states, [scales[k] for k in finite], targets, split,
-                                   grid.ridge_lambdas)
+            if live.any():
+                val[live], test[live] = _score_states(
+                    states, None if (factors == 1.0).all() else factors, targets, split,
+                    unit_lams[live])
+            rows = list(zip(val, test))
         except Exception as exc:
-            shared = [exc] * len(finite)
-        for k, score in zip(finite, shared):
-            scores[k] = score
-    else:
-        for k in finite:
-            try:
-                scores[k] = _score_states(states, factors[k], targets, split,
-                                          grid.ridge_lambdas)
-            except Exception as exc:
-                scores[k] = exc
+            rows = [exc] * len(members)
+        for k, row in zip(members, rows):
+            scores[k] = row
     return scores
 
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deepesn as de
 from deepesn import mso
@@ -75,14 +77,6 @@ def test_targets_are_next_step():
 def test_invalid_n_rejected(n):
     with pytest.raises(ValueError):
         de.MsoTask(n)
-
-
-def test_custom_phis_extension():
-    task = de.MsoTask(2, phis=(0.1, 0.5))
-    u = de.generate_mso(task)
-    assert u[0] == pytest.approx(math.sin(0.1) + math.sin(0.5), abs=1e-15)
-    with pytest.raises(ValueError):
-        de.MsoTask(3, phis=(0.1, 0.5))
 
 
 def test_length_must_cover_split():
@@ -349,6 +343,72 @@ def test_guess_fits_once_unless_deep(monkeypatch, layers, lambdas_per_fit):
     scores = mso._evaluate_guess(u, targets, task.split, grid, 0.9, 0.7, 7)
     assert len(scores) == 3 and all(isinstance(s, tuple) for s in scores)
     assert calls == lambdas_per_fit
+
+
+def test_deep_guess_dead_scales_predict_zero():
+    # the one-layer dead-scale rule holds at every depth: scale 0, and scales
+    # whose lambda / s**2 overflows, score the zero prediction; scale 1 is the
+    # plain fit of the states, and scale 0.1 the fit of X D at lambda / 0.01,
+    # D = (1, 0.1), against the fit of X diag(0.1, 0.01) at lambda
+    task = de.MsoTask(5)
+    scales, lambdas = (0.0, 1e-170, 0.1, 1.0), (0.0, 1e-8, 1e-6, 1e-3, 1.0)
+    grid = de.GridSpec(2, 6, input_scales=scales, leak_rates=(0.9,), spectral_radii=(0.7,),
+                       ridge_lambdas=lambdas, guesses=1)
+    u, targets = _signal_and_targets(task)
+    scores = mso._evaluate_guess(u, targets, task.split, grid, 0.9, 0.7, 3)
+    states = de.run(de.init_reservoir(de.HyperParams(2, 6, seed=3, leak_rate=0.9,
+                                                     spectral_radius_target=0.7)), u).states
+    zero = [de.nrmse(np.zeros(sl.stop - sl.start), targets[sl])
+            for sl in (task.split.validation_slice, task.split.test_slice)]
+    for rows, want in zip(scores[0], zero):
+        assert rows.tolist() == [want] * len(lambdas)
+    for rows, want in zip(scores[1], zero):
+        assert rows[1:].tolist() == [want] * (len(lambdas) - 1)
+        assert np.isfinite(rows[0])
+    plain = mso._score_states(states, None, targets, task.split, lambdas)
+    assert [rows.tolist() for rows in scores[3]] == [rows.tolist() for rows in plain]
+    held = np.array(lambdas) >= 1e-6
+    direct = mso._score_states(states, 0.1 ** np.arange(1, 3), targets, task.split, lambdas)
+    for got, want in zip(scores[2], direct):
+        np.testing.assert_allclose(got[held], want[held], rtol=1e-12, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 2 ** 16),
+       st.lists(st.floats(1e-3, 10), min_size=1, max_size=3),
+       st.lists(st.floats(1e-6, 1), min_size=1, max_size=3))
+def test_scale_fold_matches_direct_fits(layers, units, seed, scales, lambdas):
+    # each scale's rows, from the fit of X diag(s**(i-1)) at lambda / s**2,
+    # against the fit of the states at that scale, X diag(s**i), at lambda.
+    # Both are the same ridge problem; they round apart where it is ill
+    # conditioned, most at s = 10 and lambda = 1e-6 with three layers: at
+    # most 9.3e-9 relative over 4500 such guesses, hence the bound 1e-6. With
+    # one layer D = 1, so the rows are bit for bit the unit-scale fit.
+    task = de.MsoTask(5, length=100, split=SHORT_SPLIT)
+    grid = de.GridSpec(layers, units, input_scales=tuple(scales), leak_rates=(0.9,),
+                       spectral_radii=(0.7,), ridge_lambdas=tuple(lambdas), guesses=1)
+    u, targets = _signal_and_targets(task)
+    scores = mso._evaluate_guess(u, targets, task.split, grid, 0.9, 0.7, seed)
+    states = de.run(de.init_reservoir(de.HyperParams(layers, units, seed=seed, leak_rate=0.9,
+                                                     spectral_radius_target=0.7)), u).states
+    for scale, rows in zip(scales, scores):
+        direct = mso._score_states(states, scale ** np.arange(1, layers + 1), targets,
+                                   task.split, lambdas)
+        for got, want in zip(rows, direct):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+        if layers == 1:
+            unit = mso._score_states(states, None, targets, task.split,
+                                     [lam / (scale * scale) for lam in lambdas])
+            assert [r.tolist() for r in rows] == [r.tolist() for r in unit]
+
+
+def test_bundled_openblas_exposes_the_thread_setter():
+    # numpy's wheels bundle scipy-openblas; should its thread-count symbols be
+    # renamed, every sweep would run serially with BLAS unpinned, so this fails
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy is built against {blas}, not its bundled OpenBLAS")
+    assert mso._openblas_threads() is not None
 
 
 @pytest.mark.parametrize("kwargs", [
