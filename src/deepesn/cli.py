@@ -8,13 +8,14 @@ Subcommands
 
 Artifacts are plain delimited text with documented headers and contain no
 timestamps, so identical configurations and seeds reproduce byte-identical
-files. ``run`` sweeps each grid point's guesses on one thread per usable core
-(``taskset``/``sched_setaffinity`` set which), at most ``--guesses``, with
-numpy's OpenBLAS at one thread, so its files are the same for any core count
-and BLAS setting; peak memory grows with the thread count, and ``taskset -c 0``
-gives the low-memory run. ``spectrum`` runs its guesses serially: their cold
-weight initialisation is bound by dense eigenvalue solves, which do not speed
-up across threads.
+files. ``run`` (each grid point's guesses) and ``spectrum`` (all its guesses)
+share one pool: one thread per usable core (``taskset``/``sched_setaffinity``
+set which), at most ``--guesses``, with numpy's OpenBLAS at one thread, so
+their files are the same for any core count and BLAS setting; peak memory
+grows with the thread count, and ``taskset -c 0`` gives the low-memory run.
+The threads overlap because a guess's dense solves run without the
+interpreter lock: numpy holds it through ``eigvals`` and raw ``qr``, so
+those two are called in numpy's OpenBLAS directly (``deepesn._openblas``).
 Records are appended to ``results.partial.csv`` as they complete (crash-safe);
 the final ``results.csv`` is written in canonical configuration order once the
 sweep finishes. A single configuration is a one-point grid and takes the same path.
@@ -40,10 +41,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flat import verify_equivalence
-from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, generate_mso,
-                  grid_search)
+from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, _guess_map,
+                  generate_mso, grid_search)
 from .reservoir import HyperParams, init_reservoir, run
-from .spectral import SpectrumReport, SpikeMetrics, layer_spectra, spike_metrics
+from .spectral import SpectrumReport, SpikeMetrics, _guess_curves, _report, spike_metrics
 
 _RESULT_COLUMNS = (
     "task", "model", "num_layers", "units_per_layer", "input_scale",
@@ -298,13 +299,19 @@ def _spectra(args: argparse.Namespace,
              params: HyperParams) -> tuple[SpectrumReport, SpikeMetrics]:
     """Layer spectra over ``args.guesses`` seeds from ``params.seed``, and their spikes.
 
-    ``layer_spectra`` consumes the guesses one at a time, so only one guess's
-    states are held at once.
+    The guesses run on ``run``'s pool (``_guess_map``): each thread builds,
+    runs and transforms one guess and keeps only its per-layer curves, which
+    are added in guess order, so the files are the same for any thread count.
     """
     u, phis = _mso_signal(args.task, args.length)
-    trajectories = (run(init_reservoir(dataclasses.replace(params, seed=params.seed + g)), u)
-                    for g in range(args.guesses))
-    report = layer_spectra(trajectories, args.washout, params=params)
+
+    def curves(seed: int):
+        states = run(init_reservoir(dataclasses.replace(params, seed=seed)), u).states
+        return _guess_curves(states, args.washout)
+
+    with _guess_map(args.guesses) as map_guesses:
+        report = _report(map_guesses(curves, range(params.seed, params.seed + args.guesses)),
+                         args.washout, params)
     return report, spike_metrics(report, phis)
 
 
@@ -440,6 +447,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _spectrum(args: argparse.Namespace) -> int:
+    if args.guesses < 1:
+        raise ValueError(f"spectrum needs --guesses >= 1, got {args.guesses}")
     _require_analysis_window(args.washout, args.length)
     _require_driven("spectrum", args.scale_in)  # zero states: every filtering ratio 0/0
     spectra = _spectra(args, _analysis_params(args))

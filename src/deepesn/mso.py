@@ -41,6 +41,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import _openblas
 from .readout import _nrmse_rows, fit_ridge_sweep, nrmse
 from .reservoir import HyperParams, _is_int, init_reservoir, run
 
@@ -344,7 +345,10 @@ def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
 
 @contextlib.contextmanager
 def _guess_map(guesses: int) -> Iterator[Callable]:
-    """The map over one pair's guesses: one thread per usable core, at most ``guesses``.
+    """The map over a job's guesses: one thread per usable core, at most ``guesses``.
+
+    A job is one (leak, radius) pair of ``grid_search``, or the guesses of the
+    CLI's ``spectrum``.
 
     The threads run with numpy's OpenBLAS at one thread (its own threads
     would compete with the pool's for the cores, and its results depend on
@@ -352,7 +356,7 @@ def _guess_map(guesses: int) -> Iterator[Callable]:
     any ``OPENBLAS_NUM_THREADS``. Without the OpenBLAS symbols the guesses
     run serially in the calling thread and BLAS is left alone.
     """
-    threads = _openblas_threads()
+    threads = _openblas.threads()
     if threads is None:
         yield map
         return
@@ -412,19 +416,6 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _openblas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
-    """Getter and setter of the thread count of numpy's bundled OpenBLAS, or None."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get_threads = lib.scipy_openblas_get_num_threads64_
-        set_threads = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
 
 
 def grid_search(task: MsoTask, grid: GridSpec,

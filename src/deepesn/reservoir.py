@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _openblas
 from .exceptions import DegenerateConfigurationError, UnscalableMatrixError
 
 # Substream tags: one family of SeedSequence spawn keys per matrix role.
@@ -197,9 +198,10 @@ def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
 
     Only the eigenvalues are cached, about 16 bytes per unit: they give the
     effective spectral radius for any leak rate without another dense solve,
-    which costs far more than drawing the matrix again.
+    which costs far more than drawing the matrix again. The solve runs
+    without the interpreter lock, so pool threads initialise guesses at once.
     """
-    eigvals = np.linalg.eigvals(_recurrent_raw(seed, layer, n_units, attempt))
+    eigvals = _openblas.eigvals(_recurrent_raw(seed, layer, n_units, attempt))
     rho_raw = float(np.max(np.abs(eigvals)))
     if rho_raw < MIN_SCALABLE_RADIUS:
         return None

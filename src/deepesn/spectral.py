@@ -84,6 +84,62 @@ def magnitude_spectrum(signal) -> np.ndarray:
     return np.abs(np.fft.rfft(x))
 
 
+def _guess_curves(states: np.ndarray,
+                  washout: int) -> tuple[tuple[int, ...], np.ndarray, int]:
+    """One guess's ``(shape, curves, zero_units)`` for ``_report``.
+
+    ``curves[i]`` is layer i+1's mean over units of each unit's magnitude
+    spectrum after the washout, normalized to max 1; identically-zero unit
+    series skip normalization and are counted in ``zero_units``. The layers
+    are transformed one at a time, so a guess holds its states plus one
+    layer's spectra.
+    """
+    if washout < 0:
+        raise ValueError("washout must be nonnegative")
+    steps, n_layers, _ = states.shape
+    window = steps - washout
+    if window < 2:
+        raise ValueError(f"analysis window must span at least 2 steps, got {window}")
+    curves = np.empty((n_layers, window // 2 + 1))
+    zero_units = 0
+    for layer in range(n_layers):
+        mags = np.abs(np.fft.rfft(states[washout:, layer], axis=0))  # (bins, units)
+        peaks = mags.max(axis=0, keepdims=True)
+        zero_units += int(np.count_nonzero(peaks == 0.0))
+        normalized = np.divide(mags, peaks, out=np.zeros_like(mags), where=peaks > 0)
+        curves[layer] = normalized.mean(axis=1)
+    return states.shape, curves, zero_units
+
+
+def _report(per_guess: Iterable[tuple[tuple[int, ...], np.ndarray, int]], washout: int,
+            params: Optional[HyperParams] = None) -> SpectrumReport:
+    """The report averaging ``_guess_curves`` results, added in the order given."""
+    shape = None
+    guesses = zero_units = 0
+    for guess_shape, curves, zeros in per_guess:
+        if shape is None:
+            shape, total = guess_shape, np.zeros_like(curves)
+        elif guess_shape != shape:
+            raise ValueError("all trajectories must share dimensions")
+        guesses += 1
+        total += curves
+        zero_units += zeros
+    if shape is None:
+        raise ValueError("need at least one trajectory")
+    curves = total / guesses
+    layer_peaks = curves.max(axis=1, keepdims=True)
+    curves = np.divide(curves, layer_peaks, out=np.zeros_like(curves),
+                       where=layer_peaks > 0)
+    steps, n_layers, n_units = shape
+    return SpectrumReport(
+        freq_bins=_readonly(np.fft.rfftfreq(steps - washout)),
+        per_layer=_readonly(curves),
+        window=steps - washout, washout=washout, guesses=guesses,
+        num_layers=n_layers, units_per_layer=n_units,
+        zero_units=zero_units, params=params,
+    )
+
+
 def layer_spectra(trajectories: Iterable[StateTrajectory], washout: int,
                   params: Optional[HyperParams] = None) -> SpectrumReport:
     """Averaged per-layer spectra over a set of reservoir guesses.
@@ -95,39 +151,9 @@ def layer_spectra(trajectories: Iterable[StateTrajectory], washout: int,
     trajectories are read once, in order, so a generator keeps only one
     guess's states alive at a time.
     """
-    if washout < 0:
-        raise ValueError("washout must be nonnegative")
-    shape = None
-    guesses = zero_units = 0
-    for traj in trajectories:
-        if shape is None:
-            steps, n_layers, n_units = shape = traj.states.shape
-            window = steps - washout
-            if window < 2:
-                raise ValueError(f"analysis window must span at least 2 steps, got {window}")
-            total = np.zeros((n_layers, window // 2 + 1))
-        elif traj.states.shape != shape:
-            raise ValueError("all trajectories must share dimensions")
-        guesses += 1
-        mags = np.abs(np.fft.rfft(traj.states[washout:], axis=0))  # (bins, layers, units)
-        peaks = mags.max(axis=0, keepdims=True)
-        zero_units += int(np.count_nonzero(peaks == 0.0))
-        normalized = np.divide(mags, peaks, out=np.zeros_like(mags), where=peaks > 0)
-        total += normalized.mean(axis=2).T
-        del traj, mags, normalized  # free this guess before the next one is made
-    if shape is None:
-        raise ValueError("need at least one trajectory")
-    curves = total / guesses
-    layer_peaks = curves.max(axis=1, keepdims=True)
-    curves = np.divide(curves, layer_peaks, out=np.zeros_like(curves),
-                       where=layer_peaks > 0)
-    return SpectrumReport(
-        freq_bins=_readonly(np.fft.rfftfreq(window)),
-        per_layer=_readonly(curves),
-        window=window, washout=washout, guesses=guesses,
-        num_layers=n_layers, units_per_layer=n_units,
-        zero_units=zero_units, params=params,
-    )
+    # map keeps no reference to a trajectory once its curves are made
+    return _report(map(lambda traj: _guess_curves(traj.states, washout), trajectories),
+                   washout, params)
 
 
 def spike_metrics(report: SpectrumReport, phis: Sequence[float]) -> SpikeMetrics:

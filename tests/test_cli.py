@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -5,6 +6,7 @@ import pytest
 
 import deepesn as de
 from deepesn import cli as cli_mod
+from deepesn import _openblas, mso
 from deepesn.cli import ANALYSIS_POINT, _build_parser, _result_row, main
 
 
@@ -343,6 +345,50 @@ def test_spectrum_command(tmp_path):
     assert "mode" not in echo and "workers" not in echo
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_spectrum_files_match_a_serial_hand_loop(tmp_path, monkeypatch, cores):
+    # the guesses run on run's pool and are added in guess order, so every
+    # thread count writes the files of layer_spectra over serial runs (at
+    # 20 units OpenBLAS splits no product, so its thread count is moot)
+    monkeypatch.setattr(mso, "_usable_cores", lambda: cores)
+    out = tmp_path / "pooled"
+    assert main(["spectrum", "--task", "mso12", "--layers", "3", "--units", "20",
+                 "--length", "400", "--washout", "50", "--guesses", "5", "--seed", "4",
+                 "--out", str(out)]) == 0
+    params = de.HyperParams(3, 20, 1, *ANALYSIS_POINT, seed=4)
+    u = de.generate_mso(de.MsoTask(12))[:400]
+    report = de.layer_spectra(
+        (de.run(de.init_reservoir(dataclasses.replace(params, seed=4 + g)), u)
+         for g in range(5)), washout=50, params=params)
+    hand = tmp_path / "hand"
+    hand.mkdir()
+    cli_mod._write_spectra(str(hand), report, de.spike_metrics(report, de.MsoTask(12).phis))
+    for name in ("spectra.csv", "spikes.csv"):
+        assert (out / name).read_bytes() == (hand / name).read_bytes()
+
+
+def test_spectrum_files_do_not_depend_on_blas_threads(tmp_path):
+    # the guesses run with OpenBLAS at one thread, as run's do; at 3x100 the
+    # simulation's products split over two BLAS threads and round otherwise
+    threads = _openblas.threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread-count setter")
+    get_threads, set_threads = threads
+    before = get_threads()
+    files = {}
+    try:
+        for count in (1, 2):
+            set_threads(count)
+            out = tmp_path / str(count)
+            assert main(["spectrum", "--layers", "3", "--units", "100", "--guesses", "2",
+                         "--out", str(out)]) == 0
+            assert get_threads() == count
+            files[count] = [(out / name).read_bytes() for name in ("spectra.csv", "spikes.csv")]
+    finally:
+        set_threads(before)
+    assert files[1] == files[2]
+
+
 def test_spectrum_rejects_washout_before_simulating(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "run", refuse)
     out = tmp_path / "spec"
@@ -471,8 +517,10 @@ def test_analyses_reject_bad_values_before_writing(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-def test_spectrum_holds_one_guess_at_a_time(tmp_path):
-    # the guesses stream through layer_spectra: ten cost about what one does
+def test_spectrum_holds_one_guess_at_a_time(tmp_path, monkeypatch):
+    # each pool thread holds one guess and keeps only its curves: ten guesses
+    # on two threads cost about what one does (more threads hold more)
+    monkeypatch.setattr(mso, "_usable_cores", lambda: 2)
     layers, units, length = 4, 20, 1000
     states_bytes = length * layers * units * 8
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepesn as de
-from deepesn import mso
+from deepesn import _openblas, mso
 from deepesn.mso import _evaluate_pair, _mean, _signal_and_targets, _std
 
 PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97, 1.08, 1.19, 1.27, 1.32)
@@ -191,7 +191,7 @@ def test_evaluate_config_matches_hand_pipeline():
 @contextlib.contextmanager
 def _one_blas_thread():
     """numpy's OpenBLAS at one thread, as in a sweep's guesses (no-op without its symbols)."""
-    threads = mso._openblas_threads()
+    threads = _openblas.threads()
     if threads is None:
         yield
         return
@@ -404,11 +404,15 @@ def test_scale_fold_matches_direct_fits(layers, units, seed, scales, lambdas):
 
 def test_bundled_openblas_exposes_the_thread_setter():
     # numpy's wheels bundle scipy-openblas; should its thread-count symbols be
-    # renamed, every sweep would run serially with BLAS unpinned, so this fails
+    # renamed, every sweep would run serially with BLAS unpinned, and should
+    # dgeev or dgeqrf be, every eigenvalue and QR solve would hold the
+    # interpreter lock again, so this fails
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if blas != "scipy-openblas":
         pytest.skip(f"numpy is built against {blas}, not its bundled OpenBLAS")
-    assert mso._openblas_threads() is not None
+    assert _openblas.threads() is not None
+    assert _openblas._routine("dgeev", 14) is not None
+    assert _openblas._routine("dgeqrf", 8) is not None
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -589,7 +593,7 @@ def test_grid_search_threads_keep_their_buffers(monkeypatch):
     assert stressed.records == calm.records
 
 def test_grid_search_restores_blas_threads(monkeypatch):
-    threads = mso._openblas_threads()
+    threads = _openblas.threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
     get_threads, set_threads = threads
@@ -617,7 +621,7 @@ def test_threads_after_a_sweep_keep_no_freed_arrays_resident():
     # array resident after the thread exits, so what a pooled sweep left
     # behind varied from run to run; a sweep fixes the thresholds. Run in a
     # fresh interpreter, as the setting lasts for the process.
-    if not sys.platform.startswith("linux") or mso._openblas_threads() is None:
+    if not sys.platform.startswith("linux") or _openblas.threads() is None:
         pytest.skip("needs glibc and numpy's BLAS thread-count setter")
     code = textwrap.dedent("""
         import threading
@@ -651,7 +655,7 @@ def test_grid_search_records_match_across_workers_at_two_blas_threads(monkeypatc
     # BLAS results depend on its thread count once its products are large
     # enough to split (4x50 is; TINY_GRID is not); the sweep pins one thread
     # for every pool size, so pools of one and two write the same records
-    threads = mso._openblas_threads()
+    threads = _openblas.threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
     grid = dataclasses.replace(TINY_GRID, num_layers=4, units_per_layer=50)
@@ -669,7 +673,7 @@ def test_grid_search_records_match_across_workers_at_two_blas_threads(monkeypatc
 
 
 def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
-    if mso._openblas_threads() is None:
+    if _openblas.threads() is None:
         pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
     pools = []
 
@@ -694,7 +698,7 @@ def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
     def no_pool(*args):
         raise AssertionError("without the BLAS setter the sweep makes no pool")
 
-    monkeypatch.setattr(mso, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(_openblas, "threads", lambda: None)
     monkeypatch.setattr(mso, "ThreadPoolExecutor", no_pool)
     for cores in (1, 2):
         with warnings.catch_warnings(record=True) as caught:

@@ -1,0 +1,98 @@
+import ctypes
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from deepesn import _openblas
+from deepesn.readout import fit_ridge_sweep
+
+
+def _same(got, want):
+    """Equal dtype, shape and bits."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def _spectrum_matrix(n: int, pairs: bool, seed: int) -> np.ndarray:
+    """Q B Q^T for a random orthogonal Q and a block-diagonal B whose
+    eigenvalues are real (``pairs`` False) or, but for one real when n is
+    odd, complex conjugate pairs a +- bi with |b| >= 0.1."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = np.diag(rng.uniform(-1.0, 1.0, n))
+    if pairs:
+        for k in range(0, n - 1, 2):
+            re, im = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.0)
+            b[k:k + 2, k:k + 2] = [[re, -im], [im, re]]
+    return q @ b @ q.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), pairs=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_eigvals_matches_numpy_bit_for_bit(n, pairs, seed):
+    a = _spectrum_matrix(n, pairs, seed)
+    want = np.linalg.eigvals(a)
+    assert want.dtype == (np.complex128 if pairs and n > 1 else np.float64)
+    got = _openblas.eigvals(a)
+    assert _same(got, want)
+    assert np.array_equal(a, _spectrum_matrix(n, pairs, seed))  # the input is untouched
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 6), (30, 80), (80, 30),
+                                   (300, 1000)])
+def test_qr_raw_matches_numpy_bit_for_bit(shape):
+    x = np.random.default_rng(sum(shape)).standard_normal(shape)
+    kept = x.copy()
+    h, tau = _openblas.qr_raw(x)
+    want_h, want_tau = np.linalg.qr(x.T, mode="raw")
+    assert _same(h, want_h) and _same(tau, want_tau)
+    assert np.array_equal(x, kept)
+
+
+def test_without_the_symbols_the_wrappers_are_numpy(monkeypatch):
+    rng = np.random.default_rng(5)
+    a, x, y = rng.standard_normal((12, 12)), rng.standard_normal((20, 45)), rng.standard_normal(20)
+    with_symbols = fit_ridge_sweep(x, y, [1e-6, 1.0])
+    monkeypatch.setattr(_openblas, "_symbol", lambda *args: None)
+    assert _openblas.threads() is None
+    assert _same(_openblas.eigvals(a), np.linalg.eigvals(a))
+    for got, want in zip(_openblas.qr_raw(x), np.linalg.qr(x.T, mode="raw")):
+        assert _same(got, want)
+    for got, want in zip(fit_ridge_sweep(x, y, [1e-6, 1.0]), with_symbols):
+        assert _same(got.weights, want.weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigvals_rejects_non_finite_entries_as_numpy_does(bad):
+    a = np.eye(4)
+    a[1, 2] = bad
+    for eigvals in (np.linalg.eigvals, _openblas.eigvals):
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            eigvals(a)
+
+
+def _failing(work_at: int, info: int):
+    """A LAPACK routine that answers the workspace query, then reports ``info``.
+
+    Every argument is an address; WORK and LWORK are at ``work_at`` and the
+    next position, INFO is last."""
+    def routine(*args):
+        if ctypes.c_int64.from_address(args[work_at + 1]).value == -1:
+            ctypes.c_double.from_address(args[work_at]).value = 1.0
+        else:
+            ctypes.c_int64.from_address(args[-1]).value = info
+    return routine
+
+
+@pytest.mark.parametrize("call,routine,match", [
+    (lambda: _openblas.eigvals(np.eye(3)), _failing(11, 1), "did not converge"),
+    (lambda: _openblas.qr_raw(np.ones((2, 3))), _failing(5, -4), "QR factorization"),
+])
+def test_lapack_failures_raise_linalg_error(monkeypatch, call, routine, match):
+    if _openblas._routine("dgeev", 14) is None:
+        pytest.skip("numpy's OpenBLAS exposes no LAPACK symbols")
+    monkeypatch.setattr(_openblas, "_symbol", lambda *args: routine)
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        call()

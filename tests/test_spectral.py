@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,27 @@ def test_layer_spectra_zero_unit_diagnostics():
     assert report.zero_units == 3
     assert np.all(report.per_layer[1] == 0.0)
     assert np.isfinite(report.per_layer).all()
+
+
+def test_layer_spectra_holds_one_guess_at_a_time():
+    # a generator's trajectory is dropped once its curves are made, before
+    # the next one is built, and a layer is transformed at a time: five
+    # guesses peak where one does, under two guesses' states
+    steps, layers, units = 1000, 4, 50
+    states_bytes = steps * layers * units * 8
+
+    def peak(guesses):
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            de.layer_spectra((StateTrajectory(states=rng.standard_normal((steps, layers, units)))
+                              for _ in range(guesses)), washout=100)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(5) < peak(1) + states_bytes / 2
+    assert peak(1) < 2 * states_bytes  # the full-array transform peaks near 2.4
 
 
 def test_layer_spectra_errors():
