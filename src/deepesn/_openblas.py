@@ -13,9 +13,11 @@ stands, each is the numpy call. Nothing is loaded before the first call.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
-from typing import Callable, Optional
+import threading
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -66,6 +68,41 @@ def threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
     if get_threads is None or set_threads is None:
         return None
     return get_threads, set_threads
+
+
+# The thread count is one setting for the whole process, so the pin counts
+# the threads inside ``one_thread`` and restores the count when the last leaves.
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_restore = 1
+
+
+@contextlib.contextmanager
+def one_thread() -> Iterator[None]:
+    """OpenBLAS at one thread while any thread is inside; the count before restored after.
+
+    Results of the solves and products inside do not depend on
+    ``OPENBLAS_NUM_THREADS``. Nests, and may be entered by many threads at
+    once. A no-op without the thread-count symbols.
+    """
+    global _pin_holders, _pin_restore
+    pair = threads()
+    if pair is None:
+        yield
+        return
+    get_threads, set_threads = pair
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_restore = get_threads()
+            set_threads(1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                set_threads(_pin_restore)
 
 
 def eigvals(a) -> np.ndarray:

@@ -13,6 +13,8 @@ share one pool: one thread per usable core (``taskset``/``sched_setaffinity``
 set which), at most ``--guesses``, with numpy's OpenBLAS at one thread, so
 their files are the same for any core count and BLAS setting; peak memory
 grows with the thread count, and ``taskset -c 0`` gives the low-memory run.
+A ``spectrum`` thread builds, solves and transforms its guess a layer at a
+time, so it holds one layer's weights and two layers' states at any depth.
 The threads overlap because a guess's dense solves run without the
 interpreter lock: numpy holds it through ``eigvals`` and raw ``qr``, so
 those two are called in numpy's OpenBLAS directly (``deepesn._openblas``).
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,7 +46,7 @@ import numpy as np
 from .flat import verify_equivalence
 from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, _guess_map,
                   generate_mso, grid_search)
-from .reservoir import HyperParams, init_reservoir, run
+from .reservoir import HyperParams, _layer_weights, _solve_layers, init_reservoir
 from .spectral import SpectrumReport, SpikeMetrics, _guess_curves, _report, spike_metrics
 
 _RESULT_COLUMNS = (
@@ -300,14 +303,19 @@ def _spectra(args: argparse.Namespace,
     """Layer spectra over ``args.guesses`` seeds from ``params.seed``, and their spikes.
 
     The guesses run on ``run``'s pool (``_guess_map``): each thread builds,
-    runs and transforms one guess and keeps only its per-layer curves, which
-    are added in guess order, so the files are the same for any thread count.
+    solves and transforms one guess a layer at a time, so it holds one
+    layer's weights and two layers' states whatever the depth, and keeps
+    only the per-layer curves, which are added in guess order, so the files
+    are the same for any thread count.
     """
     u, phis = _mso_signal(args.task, args.length)
 
     def curves(seed: int):
-        states = run(init_reservoir(dataclasses.replace(params, seed=seed)), u).states
-        return _guess_curves(states, args.washout)
+        guess = dataclasses.replace(params, seed=seed)
+        layers = map(functools.partial(_layer_weights, guess),
+                     range(1, guess.num_layers + 1))
+        return _guess_curves(_solve_layers(layers, u[:, None], guess.leak_rate),
+                             args.washout)
 
     with _guess_map(args.guesses) as map_guesses:
         report = _report(map_guesses(curves, range(params.seed, params.seed + args.guesses)),

@@ -356,19 +356,13 @@ def _guess_map(guesses: int) -> Iterator[Callable]:
     any ``OPENBLAS_NUM_THREADS``. Without the OpenBLAS symbols the guesses
     run serially in the calling thread and BLAS is left alone.
     """
-    threads = _openblas.threads()
-    if threads is None:
+    if _openblas.threads() is None:
         yield map
         return
-    get_threads, set_threads = threads
-    before = get_threads()
-    set_threads(1)
     workers = min(_usable_cores(), guesses)
-    try:
-        with ThreadPoolExecutor(workers) as pool, _pooled_heap(pool, workers):
-            yield pool.map
-    finally:
-        set_threads(before)
+    with (_openblas.one_thread(), ThreadPoolExecutor(workers) as pool,
+          _pooled_heap(pool, workers)):
+        yield pool.map
 
 
 @contextlib.contextmanager

@@ -26,6 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -199,9 +200,13 @@ def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
     Only the eigenvalues are cached, about 16 bytes per unit: they give the
     effective spectral radius for any leak rate without another dense solve,
     which costs far more than drawing the matrix again. The solve runs
-    without the interpreter lock, so pool threads initialise guesses at once.
+    without the interpreter lock, so pool threads initialise guesses at once,
+    and with OpenBLAS at one thread, so the cached value is the same whatever
+    thread count the first caller had (from about N = 300, ``dgeev`` rounds
+    otherwise on two threads).
     """
-    eigvals = _openblas.eigvals(_recurrent_raw(seed, layer, n_units, attempt))
+    with _openblas.one_thread():
+        eigvals = _openblas.eigvals(_recurrent_raw(seed, layer, n_units, attempt))
     rho_raw = float(np.max(np.abs(eigvals)))
     if rho_raw < MIN_SCALABLE_RADIUS:
         return None
@@ -241,6 +246,20 @@ def _scaled_recurrent(seed: int, layer: int, n_units: int, leak_rate: float,
     )
 
 
+def _layer_weights(params: HyperParams, layer: int) -> tuple[np.ndarray, np.ndarray]:
+    """Layer ``layer``'s (1-based) drive and recurrent matrices, read-only.
+
+    The drive of layer 1 is the input matrix, that of a higher layer its
+    inter-layer matrix; each is a unit-scale draw times ``input_scale``. The
+    recurrent matrix is rescaled by ``_scaled_recurrent``.
+    """
+    seed, n = int(params.seed), params.units_per_layer
+    raw = _input_raw(seed, n, params.input_dim) if layer == 1 else _inter_raw(seed, layer, n)
+    recurrent = _scaled_recurrent(seed, layer, n, params.leak_rate,
+                                  params.spectral_radius_target)
+    return _readonly(params.input_scale * raw), _readonly(recurrent)
+
+
 def init_reservoir(params: HyperParams) -> DeepReservoir:
     """Build a reservoir from hyperparameters. Deterministic in the seed.
 
@@ -249,25 +268,12 @@ def init_reservoir(params: HyperParams) -> DeepReservoir:
     so the substreams are scale-independent). Recurrent weights are drawn,
     normalized, and rescaled so that every layer's effective matrix has
     spectral radius exactly ``spectral_radius_target``. No bias terms.
+    Every layer comes from ``_layer_weights``, which builds one on its own.
     """
-    seed = int(params.seed)
-    n = params.units_per_layer
-    w_in = params.input_scale * _input_raw(seed, n, params.input_dim)
-    inter = tuple(
-        params.input_scale * _inter_raw(seed, layer, n)
-        for layer in range(2, params.num_layers + 1)
-    )
-    recurrent = tuple(
-        _scaled_recurrent(seed, layer, n, params.leak_rate,
-                          params.spectral_radius_target)
-        for layer in range(1, params.num_layers + 1)
-    )
-    return DeepReservoir(
-        input_weights=_readonly(w_in),
-        inter_layer_weights=tuple(_readonly(w) for w in inter),
-        recurrent_weights=tuple(_readonly(w) for w in recurrent),
-        params=params,
-    )
+    drives, recurrent = zip(*(_layer_weights(params, layer)
+                              for layer in range(1, params.num_layers + 1)))
+    return DeepReservoir(input_weights=drives[0], inter_layer_weights=drives[1:],
+                         recurrent_weights=recurrent, params=params)
 
 
 def step(res: DeepReservoir, state: np.ndarray, input_vector: np.ndarray) -> np.ndarray:
@@ -385,6 +391,32 @@ def _linear_scan(x: np.ndarray, m: np.ndarray, b: int) -> None:
         rows += z
 
 
+def _solve_layers(layers: Iterable[tuple[np.ndarray, np.ndarray]], u: np.ndarray,
+                  leak_rate: float, out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """Each layer's ``(steps, units)`` states, solved from the layer below.
+
+    ``layers`` gives each layer's ``(drive, recurrent)`` pair, layer 1 first
+    (as ``_layer_weights`` builds them); layer 1 is driven by the
+    ``(steps, input_dim)`` matrix ``u``. A layer's drive is one matrix
+    product over all steps, scaled by the leak rate, and its recurrence
+    ``x_t = M x_{t-1} + a d_t`` is solved in place with a blocked scan.
+    Layer ``i``'s states go into ``out[:, i]`` when ``out`` is given and
+    into a new array otherwise. Only the layer being solved and the one
+    driving it are held here, and each layer's weights are dropped once it
+    is solved, so a lazy ``layers`` keeps memory independent of depth.
+    """
+    src, chunk, i = u, None, 0
+    for w_drive, w_rec in layers:  # not enumerate: its reused tuple would keep the pair
+        x = np.matmul(src, w_drive.T, out=None if out is None else out[:, i])
+        x *= leak_rate
+        if chunk is None:
+            chunk = _chunk_length(u.shape[0], w_rec.shape[0])
+        _linear_scan(x, effective_matrix(w_rec, leak_rate), chunk)
+        del w_drive, w_rec
+        src, i = x, i + 1
+        yield x
+
+
 def run(res: DeepReservoir, inputs) -> StateTrajectory:
     """Drive the reservoir from the zero state through an input sequence.
 
@@ -392,24 +424,15 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
     for one-dimensional input). Step ``t`` of the trajectory is the state
     after consuming input ``t``.
 
-    Layers are swept one at a time: layer ``i - 1``'s whole trajectory is
-    known before layer ``i`` starts, because it only feeds forward, so each
-    layer's drive is one matrix product over all steps. Each layer then
-    solves ``x_t = M x_{t-1} + a d_t`` with a blocked scan. The result equals
-    repeated ``step`` up to rounding, not bit for bit: the products are summed
-    in another order.
+    Layers are swept one at a time by ``_solve_layers``: layer ``i - 1``'s
+    whole trajectory is known before layer ``i`` starts, because it only
+    feeds forward. The result equals repeated ``step`` up to rounding, not
+    bit for bit: the products are summed in another order.
     """
     p = res.params
     u = _as_input_matrix(inputs, p.input_dim)
-    a = p.leak_rate
     out = np.empty((u.shape[0], p.num_layers, p.units_per_layer))
-    src, w_drive = u, res.input_weights
-    chunk = _chunk_length(u.shape[0], p.units_per_layer)
-    for i, w_rec in enumerate(res.recurrent_weights):
-        if i > 0:
-            src, w_drive = out[:, i - 1], res.inter_layer_weights[i - 1]
-        x = out[:, i]
-        np.matmul(src, w_drive.T, out=x)
-        x *= a
-        _linear_scan(x, effective_matrix(w_rec, a), chunk)
+    layers = zip((res.input_weights,) + res.inter_layer_weights, res.recurrent_weights)
+    for _ in _solve_layers(layers, u, p.leak_rate, out):
+        pass
     return StateTrajectory(states=_readonly(out))

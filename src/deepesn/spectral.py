@@ -84,31 +84,34 @@ def magnitude_spectrum(signal) -> np.ndarray:
     return np.abs(np.fft.rfft(x))
 
 
-def _guess_curves(states: np.ndarray,
+def _guess_curves(layers: Iterable[np.ndarray],
                   washout: int) -> tuple[tuple[int, ...], np.ndarray, int]:
     """One guess's ``(shape, curves, zero_units)`` for ``_report``.
 
+    ``layers`` gives each layer's ``(steps, units)`` states, layer 1 first.
     ``curves[i]`` is layer i+1's mean over units of each unit's magnitude
     spectrum after the washout, normalized to max 1; identically-zero unit
-    series skip normalization and are counted in ``zero_units``. The layers
-    are transformed one at a time, so a guess holds its states plus one
-    layer's spectra.
+    series skip normalization and are counted in ``zero_units``. ``shape``
+    is ``(steps, layers, units)``. Each layer is read once and dropped, so a
+    generator of layers keeps one layer's states and spectra alive here.
     """
     if washout < 0:
         raise ValueError("washout must be nonnegative")
-    steps, n_layers, _ = states.shape
-    window = steps - washout
-    if window < 2:
-        raise ValueError(f"analysis window must span at least 2 steps, got {window}")
-    curves = np.empty((n_layers, window // 2 + 1))
-    zero_units = 0
-    for layer in range(n_layers):
-        mags = np.abs(np.fft.rfft(states[washout:, layer], axis=0))  # (bins, units)
+    curves, shape, zero_units = [], None, 0
+    for states in layers:
+        if shape is None:
+            shape = states.shape
+            if shape[0] - washout < 2:
+                raise ValueError("analysis window must span at least 2 steps, "
+                                 f"got {shape[0] - washout}")
+        mags = np.abs(np.fft.rfft(states[washout:], axis=0))  # (bins, units)
         peaks = mags.max(axis=0, keepdims=True)
         zero_units += int(np.count_nonzero(peaks == 0.0))
         normalized = np.divide(mags, peaks, out=np.zeros_like(mags), where=peaks > 0)
-        curves[layer] = normalized.mean(axis=1)
-    return states.shape, curves, zero_units
+        curves.append(normalized.mean(axis=1))
+    if shape is None:
+        raise ValueError("a guess needs at least one layer")
+    return (shape[0], len(curves), shape[1]), np.array(curves), zero_units
 
 
 def _report(per_guess: Iterable[tuple[tuple[int, ...], np.ndarray, int]], washout: int,
@@ -152,8 +155,8 @@ def layer_spectra(trajectories: Iterable[StateTrajectory], washout: int,
     guess's states alive at a time.
     """
     # map keeps no reference to a trajectory once its curves are made
-    return _report(map(lambda traj: _guess_curves(traj.states, washout), trajectories),
-                   washout, params)
+    return _report(map(lambda traj: _guess_curves(np.moveaxis(traj.states, 1, 0), washout),
+                       trajectories), washout, params)
 
 
 def spike_metrics(report: SpectrumReport, phis: Sequence[float]) -> SpikeMetrics:

@@ -7,6 +7,7 @@ import pytest
 import deepesn as de
 from deepesn import cli as cli_mod
 from deepesn import _openblas, mso
+from deepesn import reservoir as rc
 from deepesn.cli import ANALYSIS_POINT, _build_parser, _result_row, main
 
 
@@ -390,7 +391,7 @@ def test_spectrum_files_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_spectrum_rejects_washout_before_simulating(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli_mod, "run", refuse)
+    monkeypatch.setattr(cli_mod, "_solve_layers", refuse)
     out = tmp_path / "spec"
     code = main(["spectrum", "--guesses", "20", "--washout", "5000", "--out", str(out)])
     assert code == 2
@@ -510,29 +511,76 @@ def test_run_flags_win_over_config(tmp_path):
     ["verify-flat", "--scale-in", "0"],  # all-zero states: every gap 0, a vacuous pass
 ])
 def test_analyses_reject_bad_values_before_writing(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli_mod, "run", refuse)
+    monkeypatch.setattr(cli_mod, "_solve_layers", refuse)
     out = tmp_path / "analysis"
     assert main([*argv, "--out", str(out)]) == 2
     assert "error: config" in capsys.readouterr().err
     assert not out.exists()
 
 
+def _spectrum_peak(out, *flags) -> int:
+    """tracemalloc's peak over one ``spectrum`` call with ``flags``."""
+    tracemalloc.start()
+    try:
+        assert main(["spectrum", *flags, "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_spectrum_holds_one_guess_at_a_time(tmp_path, monkeypatch):
-    # each pool thread holds one guess and keeps only its curves: ten guesses
-    # on two threads cost about what one does (more threads hold more)
+    # each pool thread holds one guess, a layer at a time, and keeps only its
+    # curves: ten guesses on two threads cost one guess more than one does,
+    # two layers' states and one layer's spectra (about 3.7 layers' states
+    # here; whole guesses held 10)
     monkeypatch.setattr(mso, "_usable_cores", lambda: 2)
-    layers, units, length = 4, 20, 1000
-    states_bytes = length * layers * units * 8
+    layers, units, length = 8, 20, 1000
+    layer_bytes = length * units * 8
 
     def peak(guesses):
-        tracemalloc.start()
-        try:
-            assert main(["spectrum", "--layers", str(layers), "--units", str(units),
-                         "--length", str(length), "--guesses", str(guesses),
-                         "--out", str(tmp_path / str(guesses))]) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _spectrum_peak(tmp_path / str(guesses), "--layers", str(layers),
+                              "--units", str(units), "--length", str(length),
+                              "--guesses", str(guesses))
 
     peak(1)  # warm the caches and imports
-    assert peak(10) < peak(1) + 2 * states_bytes
+    assert peak(10) < peak(1) + 5 * layer_bytes
+
+
+def test_spectrum_guess_memory_does_not_grow_with_depth(tmp_path, monkeypatch):
+    # a guess holds one layer's weights and the states of the layer being
+    # solved and the one driving it, so eight layers peak within one layer's
+    # states of two (whole guesses grew by six)
+    monkeypatch.setattr(mso, "_usable_cores", lambda: 1)
+    units, length = 50, 1000
+    layer_bytes = length * units * 8
+
+    def peak(layers):
+        return _spectrum_peak(tmp_path / str(layers), "--layers", str(layers),
+                              "--units", str(units), "--length", str(length),
+                              "--guesses", "1")
+
+    peak(2)  # warm the caches and imports
+    assert peak(8) < peak(2) + layer_bytes
+
+
+def test_spectrum_fails_mid_guess_on_an_unscalable_layer(tmp_path, capsys, monkeypatch):
+    # a guess builds each layer when the one below is done, so layer 3's
+    # failure comes after two layers are solved; nothing is written
+    real_base, real_solve, solved = rc._recurrent_base, cli_mod._solve_layers, []
+
+    def no_layer_3(seed, layer, n_units, attempt):
+        return None if layer == 3 else real_base(seed, layer, n_units, attempt)
+
+    def counted(*args):
+        for states in real_solve(*args):
+            solved.append(states.shape)
+            yield states
+
+    monkeypatch.setattr(rc, "_recurrent_base", no_layer_3)
+    monkeypatch.setattr(cli_mod, "_solve_layers", counted)
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--layers", "4", "--units", "5", "--guesses", "1",
+                 "--out", str(out)]) == 1
+    assert "error: runtime: layer 3" in capsys.readouterr().err
+    assert solved == [(1000, 5)] * 2
+    assert not out.exists()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import deepesn as de
 from deepesn import _openblas, mso
+from deepesn import reservoir as rc
 from deepesn.mso import _evaluate_pair, _mean, _signal_and_targets, _std
 
 PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97, 1.08, 1.19, 1.27, 1.32)
@@ -670,6 +671,32 @@ def test_grid_search_records_match_across_workers_at_two_blas_threads(monkeypatc
     finally:
         set_threads(before)
     assert repr(serial.records) == repr(pooled.records)
+
+
+def test_a_weight_cache_warmed_at_two_blas_threads_keeps_the_records(monkeypatch):
+    # from about N = 300 dgeev rounds otherwise on two threads; the cached
+    # eigenvalues are solved at one thread whoever asks first, so a sweep
+    # after a main-thread init_reservoir writes a cold sweep's records
+    threads = _openblas.threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread-count setter")
+    grid = de.GridSpec(1, 300, leak_rates=(0.9,), spectral_radii=(0.7,), guesses=2,
+                       base_seed=42)
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(2)
+    try:
+        rc._recurrent_base.cache_clear()
+        cold = _sweep(monkeypatch, 2, grid)
+        rc._recurrent_base.cache_clear()
+        for g in range(grid.guesses):
+            de.init_reservoir(de.HyperParams(1, 300, leak_rate=0.9, spectral_radius_target=0.7,
+                                             seed=grid.base_seed + g))
+        assert get_threads() == 2
+        warm = _sweep(monkeypatch, 2, grid)
+    finally:
+        set_threads(before)
+    assert repr(warm.records) == repr(cold.records)
 
 
 def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):

@@ -1,4 +1,7 @@
+import contextlib
 import ctypes
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,3 +99,32 @@ def test_lapack_failures_raise_linalg_error(monkeypatch, call, routine, match):
     monkeypatch.setattr(_openblas, "_symbol", lambda *args: routine)
     with pytest.raises(np.linalg.LinAlgError, match=match):
         call()
+
+
+def test_one_thread_pins_while_any_thread_is_inside(monkeypatch):
+    # the count is one setting for the process: eight threads entering and
+    # leaving at random see one thread inside, and the count before the
+    # first is back after the last, also when a body raises
+    count = [3]
+    monkeypatch.setattr(_openblas, "threads",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    seen = []
+
+    def churn(k):
+        for i in range(200):
+            with contextlib.suppress(KeyError), _openblas.one_thread():
+                with _openblas.one_thread():
+                    seen.append(count[0])
+                if (k + i) % 7 == 0:
+                    raise KeyError(k)
+                seen.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            list(pool.map(churn, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) > 1600 and set(seen) == {1}
+    assert count == [3] and _openblas._pin_holders == 0

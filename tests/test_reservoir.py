@@ -2,10 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deepesn as de
+from deepesn import _openblas
 from deepesn import reservoir as rc
 from deepesn.exceptions import DegenerateConfigurationError, UnscalableMatrixError
 
@@ -200,6 +201,27 @@ def test_recurrent_cache_holds_eigenvalues_only():
     assert sum(x.nbytes for x in arrays) <= 16 * params.units_per_layer
 
 
+def test_init_does_not_depend_on_blas_threads():
+    # from about N = 300 dgeev on two threads changes rho_raw; the cached
+    # solve runs at one thread, so the weights are the same either way
+    threads = _openblas.threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread-count setter")
+    get_threads, set_threads = threads
+    before = get_threads()
+    params = de.HyperParams(1, 300, leak_rate=0.9, spectral_radius_target=0.7, seed=42)
+    built = {}
+    try:
+        for count in (1, 2):
+            set_threads(count)
+            rc._recurrent_base.cache_clear()
+            built[count] = de.init_reservoir(params).recurrent_weights[0]
+            assert get_threads() == count
+    finally:
+        set_threads(before)
+    assert built[1].tobytes() == built[2].tobytes()
+
+
 def test_weight_arrays_are_readonly(small_reservoir):
     with pytest.raises(ValueError):
         small_reservoir.input_weights[0, 0] = 1.0
@@ -351,6 +373,25 @@ def test_run_matches_step_property(layers, units, steps, seed):
     r = de.init_reservoir(p)
     u = np.random.default_rng(seed).uniform(-1, 1, steps)
     _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+
+
+@settings(max_examples=30, deadline=None)
+@given(layers=st.integers(1, 4), units=st.integers(1, 12), steps=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 16))
+@example(layers=1, units=1, steps=40, seed=0)
+@example(layers=3, units=12, steps=1, seed=1)  # steps <= chunk length: no carry
+def test_run_equals_streamed_layers_bit_for_bit(layers, units, steps, seed):
+    # run writes the solver's layers into its array; built one at a time
+    # and solved into arrays of their own, they have the same bits
+    p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9, seed=seed)
+    u = np.random.default_rng(seed).uniform(-1, 1, (steps, 1))
+    states = de.run(de.init_reservoir(p), u).states
+    built = map(lambda layer: rc._layer_weights(p, layer), range(1, layers + 1))
+    streamed = list(rc._solve_layers(built, u, p.leak_rate))
+    assert len(streamed) == layers
+    for i, x in enumerate(streamed):
+        assert x.shape == (steps, units)
+        assert x.tobytes() == np.ascontiguousarray(states[:, i]).tobytes()
 
 
 def test_concatenated_layout(small_reservoir, rng):
