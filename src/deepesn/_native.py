@@ -1,4 +1,13 @@
-"""numpy's bundled OpenBLAS, called directly: its thread count and two LAPACK solves.
+"""Every process-wide native setting of deepesn, and its calls into native code.
+
+Three settings outlive a call, and this module owns each: numpy's OpenBLAS
+thread count (``one_thread``), glibc's malloc thresholds (``_pooled_heap``)
+and the worker threads (``guess_map``). One rule holds for every command: a
+job's guesses run on one thread per core the process may run on (``taskset``
+sets which), at most one per guess, and its numerical work runs with
+OpenBLAS at one thread, so its files are the same for any core count and
+any ``OPENBLAS_NUM_THREADS``. Each thread holds one guess, so peak memory
+grows with the thread count; ``taskset -c 0`` gives the low-memory run.
 
 numpy 2 wheels link scipy-openblas, whose symbols carry a ``scipy_`` prefix
 and, for the 64-bit-integer interface, a ``64_`` suffix. ``np.linalg.eigvals``
@@ -16,10 +25,14 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator, Optional
 
 import numpy as np
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
 
 
 @functools.cache
@@ -103,6 +116,75 @@ def one_thread() -> Iterator[None]:
             _pin_holders -= 1
             if _pin_holders == 0:
                 set_threads(_pin_restore)
+
+
+@contextlib.contextmanager
+def guess_map(guesses: int) -> Iterator[Callable]:
+    """The map over a job's guesses: one thread per usable core, at most ``guesses``.
+
+    A job is one (leak, radius) pair of ``grid_search``, or the guesses of the
+    CLI's ``spectrum``.
+
+    The threads run with numpy's OpenBLAS at one thread (its own threads
+    would compete with the pool's for the cores, and its results depend on
+    its thread count), so the records are the same for any core count and
+    any ``OPENBLAS_NUM_THREADS``. Without the OpenBLAS symbols the guesses
+    run serially in the calling thread and BLAS is left alone.
+    """
+    if threads() is None:
+        yield map
+        return
+    workers = min(_usable_cores(), guesses)
+    with (one_thread(), ThreadPoolExecutor(workers) as pool,
+          _pooled_heap(pool, workers)):
+        yield pool.map
+
+
+@contextlib.contextmanager
+def _pooled_heap(pool: ThreadPoolExecutor, workers: int) -> Iterator[None]:
+    """Pool threads keep the heap they free during the sweep and return it after.
+
+    With glibc's adaptive thresholds a pool thread's arena may keep up to
+    twice the largest block freed so far free at its top after the thread
+    exits, out of ``malloc_trim``'s reach; how much depends on the order in
+    which the threads free. Fixed (for the process: glibc cannot go back),
+    the arenas keep what they free for the next guess, and at the end each
+    pool thread frees a block of 64 KiB or more, which trims its arena's
+    top beyond glibc's initial 128 KiB. No-op without glibc.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, trim = libc.mallopt, libc.malloc_trim
+        libc.malloc.restype, libc.free.argtypes = ctypes.c_void_p, [ctypes.c_void_p]
+    except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
+        libc = None
+    if libc is None:
+        yield
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 2 ** 31 - 1)
+    try:
+        yield
+    finally:
+        mallopt(_M_TRIM_THRESHOLD, 128 << 10)
+    # All guesses are done, so each pool thread takes one of these tasks and
+    # waits for the others (the timeout only guards against a lost thread).
+    barrier = threading.Barrier(workers, timeout=10)
+
+    def release(_):
+        with contextlib.suppress(threading.BrokenBarrierError):
+            barrier.wait()
+        libc.free(libc.malloc(128 << 10))
+
+    list(pool.map(release, range(workers)))
+    trim(ctypes.c_size_t(0))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def eigvals(a) -> np.ndarray:

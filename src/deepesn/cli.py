@@ -8,16 +8,8 @@ Subcommands
 
 Artifacts are plain delimited text with documented headers and contain no
 timestamps, so identical configurations and seeds reproduce byte-identical
-files. ``run`` (each grid point's guesses) and ``spectrum`` (all its guesses)
-share one pool: one thread per usable core (``taskset``/``sched_setaffinity``
-set which), at most ``--guesses``, with numpy's OpenBLAS at one thread, so
-their files are the same for any core count and BLAS setting; peak memory
-grows with the thread count, and ``taskset -c 0`` gives the low-memory run.
-A ``spectrum`` thread builds, solves and transforms its guess a layer at a
-time, so it holds one layer's weights and two layers' states at any depth.
-The threads overlap because a guess's dense solves run without the
-interpreter lock: numpy holds it through ``eigvals`` and raw ``qr``, so
-those two are called in numpy's OpenBLAS directly (``deepesn._openblas``).
+files, on any core count and at any ``OPENBLAS_NUM_THREADS``: threads and
+BLAS follow the one rule of ``deepesn._native``.
 Records are appended to ``results.partial.csv`` as they complete (crash-safe);
 the final ``results.csv`` is written in canonical configuration order once the
 sweep finishes. A single configuration is a one-point grid and takes the same path.
@@ -43,9 +35,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _native
 from .flat import verify_equivalence
-from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, _guess_map,
-                  generate_mso, grid_search)
+from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, generate_mso,
+                  grid_search)
 from .reservoir import HyperParams, _layer_weights, _solve_layers, init_reservoir
 from .spectral import SpectrumReport, SpikeMetrics, _guess_curves, _report, spike_metrics
 
@@ -285,9 +278,10 @@ def _mso_signal(task_n: int, length: int) -> tuple[np.ndarray, tuple[float, ...]
 
 
 def _equivalence(task_n: int, params: HyperParams, steps: int, rel_tol: float) -> dict:
-    """The ``equivalence.txt`` record of the layered-vs-flat check."""
+    """The ``equivalence.txt`` record of the layered-vs-flat check, at one BLAS thread."""
     inputs, _ = _mso_signal(task_n, steps)
-    report = verify_equivalence(init_reservoir(params), inputs, rel_tol)
+    with _native.one_thread():
+        report = verify_equivalence(init_reservoir(params), inputs, rel_tol)
     return {
         "max_abs_diff": report.max_abs_diff,
         "max_rel_diff": report.max_rel_diff,
@@ -302,9 +296,9 @@ def _spectra(args: argparse.Namespace,
              params: HyperParams) -> tuple[SpectrumReport, SpikeMetrics]:
     """Layer spectra over ``args.guesses`` seeds from ``params.seed``, and their spikes.
 
-    The guesses run on ``run``'s pool (``_guess_map``): each thread builds,
-    solves and transforms one guess a layer at a time, so it holds one
-    layer's weights and two layers' states whatever the depth, and keeps
+    The guesses run on ``run``'s pool (``_native.guess_map``): each thread
+    builds, solves and transforms one guess a layer at a time, so it holds
+    one layer's weights and two layers' states whatever the depth, and keeps
     only the per-layer curves, which are added in guess order, so the files
     are the same for any thread count.
     """
@@ -317,7 +311,7 @@ def _spectra(args: argparse.Namespace,
         return _guess_curves(_solve_layers(layers, u[:, None], guess.leak_rate),
                              args.washout)
 
-    with _guess_map(args.guesses) as map_guesses:
+    with _native.guess_map(args.guesses) as map_guesses:
         report = _report(map_guesses(curves, range(params.seed, params.seed + args.guesses)),
                          args.washout, params)
     return report, spike_metrics(report, phis)

@@ -28,24 +28,17 @@ group, and one fit, per scale.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import dataclasses
 import functools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import _openblas
+from . import _native
 from .readout import _nrmse_rows, fit_ridge_sweep, nrmse
 from .reservoir import HyperParams, _is_int, init_reservoir, run
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, malloc.h
 
 #: Canonical MSO frequencies (radians per step); MSO-n uses the first n.
 CANONICAL_PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97,
@@ -343,75 +336,6 @@ def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
     return out
 
 
-@contextlib.contextmanager
-def _guess_map(guesses: int) -> Iterator[Callable]:
-    """The map over a job's guesses: one thread per usable core, at most ``guesses``.
-
-    A job is one (leak, radius) pair of ``grid_search``, or the guesses of the
-    CLI's ``spectrum``.
-
-    The threads run with numpy's OpenBLAS at one thread (its own threads
-    would compete with the pool's for the cores, and its results depend on
-    its thread count), so the records are the same for any core count and
-    any ``OPENBLAS_NUM_THREADS``. Without the OpenBLAS symbols the guesses
-    run serially in the calling thread and BLAS is left alone.
-    """
-    if _openblas.threads() is None:
-        yield map
-        return
-    workers = min(_usable_cores(), guesses)
-    with (_openblas.one_thread(), ThreadPoolExecutor(workers) as pool,
-          _pooled_heap(pool, workers)):
-        yield pool.map
-
-
-@contextlib.contextmanager
-def _pooled_heap(pool: ThreadPoolExecutor, workers: int) -> Iterator[None]:
-    """Pool threads keep the heap they free during the sweep and return it after.
-
-    With glibc's adaptive thresholds a pool thread's arena may keep up to
-    twice the largest block freed so far free at its top after the thread
-    exits, out of ``malloc_trim``'s reach; how much depends on the order in
-    which the threads free. Fixed (for the process: glibc cannot go back),
-    the arenas keep what they free for the next guess, and at the end each
-    pool thread frees a block of 64 KiB or more, which trims its arena's
-    top beyond glibc's initial 128 KiB. No-op without glibc.
-    """
-    try:
-        libc = ctypes.CDLL(None)
-        mallopt, trim = libc.mallopt, libc.malloc_trim
-        libc.malloc.restype, libc.free.argtypes = ctypes.c_void_p, [ctypes.c_void_p]
-    except (AttributeError, OSError, TypeError):  # TypeError: no CDLL(None) on Windows
-        libc = None
-    if libc is None:
-        yield
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 2 ** 31 - 1)
-    try:
-        yield
-    finally:
-        mallopt(_M_TRIM_THRESHOLD, 128 << 10)
-    # All guesses are done, so each pool thread takes one of these tasks and
-    # waits for the others (the timeout only guards against a lost thread).
-    barrier = threading.Barrier(workers, timeout=10)
-
-    def release(_):
-        with contextlib.suppress(threading.BrokenBarrierError):
-            barrier.wait()
-        libc.free(libc.malloc(128 << 10))
-
-    list(pool.map(release, range(workers)))
-    trim(ctypes.c_size_t(0))
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def grid_search(task: MsoTask, grid: GridSpec,
                 on_result: Optional[Callable[[ConfigResult], None]] = None) -> ExperimentResult:
     """Exhaustive sweep over the grid with deterministic selection.
@@ -421,15 +345,10 @@ def grid_search(task: MsoTask, grid: GridSpec,
     records are in canonical (scale, leak, radius, lambda) order and the
     selection is the first minimum of the mean validation NRMSE. Failed
     combinations are recorded with an error marker and excluded from
-    selection. Each pair's guesses are evaluated on one thread per core the
-    process may run on (``os.sched_getaffinity``), at most ``grid.guesses``,
-    with numpy's OpenBLAS at one thread for the whole sweep, so the records
-    are the same for every core count and BLAS setting. Every thread holds
-    one guess's states and fit, so peak memory grows with the thread count;
-    a process pinned to one core (``taskset -c 0``) uses the least.
+    selection. Each pair's guesses run on ``_native.guess_map``.
     """
     by_pair = []
-    with _guess_map(grid.guesses) as map_guesses:
+    with _native.guess_map(grid.guesses) as map_guesses:
         for leak in grid.leak_rates:
             for rho in grid.spectral_radii:
                 by_pair.append(_evaluate_pair(task, grid, leak, rho, map_guesses))

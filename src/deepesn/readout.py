@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _openblas
+from . import _native
 
 #: Reflectors applied per block by ``_apply_reflectors``. At 300 x 1000 and
 #: 12 lambdas on one thread, 32 took 3.4 ms against 3.8 (16), 3.9 (64) and
@@ -45,7 +45,7 @@ class Readout:
 
 
 def _apply_reflectors(h: np.ndarray, tau: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``Q @ [z_i; 0]`` for every row ``z_i`` of ``z``, Q from ``_openblas.qr_raw``.
+    """``Q @ [z_i; 0]`` for every row ``z_i`` of ``z``, Q from ``_native.qr_raw``.
 
     Q = H_1 ... H_t, with reflector k stored in row k of ``h`` to the right of
     the diagonal (a unit diagonal implied). A block of b reflectors is
@@ -101,7 +101,7 @@ def fit_ridge_sweep(states, targets, lambdas) -> list[Readout]:
 
     t, d = s_mat.shape
     if d > t:
-        h, tau = _openblas.qr_raw(s_mat)                # states.T = Q R, R^T = tril(h)
+        h, tau = _native.qr_raw(s_mat)                # states.T = Q R, R^T = tril(h)
         u, s, wt = np.linalg.svd(np.tril(h[:, :t]))     # states = u diag(s) (Q wt^T)^T
     else:
         u, s, wt = np.linalg.svd(s_mat, full_matrices=False)

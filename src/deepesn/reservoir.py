@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import _openblas
+from . import _native
 from .exceptions import DegenerateConfigurationError, UnscalableMatrixError
 
 # Substream tags: one family of SeedSequence spawn keys per matrix role.
@@ -187,7 +187,7 @@ def _recurrent_raw(seed: int, layer: int, n_units: int, attempt: int) -> np.ndar
     return g.uniform(-1.0, 1.0, (n_units, n_units))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4096)
 def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
     """Spectral radius and normalized eigenvalues of a layer's recurrent draw.
 
@@ -199,14 +199,17 @@ def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
 
     Only the eigenvalues are cached, about 16 bytes per unit: they give the
     effective spectral radius for any leak rate without another dense solve,
-    which costs far more than drawing the matrix again. The solve runs
+    which costs far more than drawing the matrix again. A sweep revisits
+    every (seed, layer) once per (leak, radius) pair, and an LRU cache
+    smaller than guesses x layers evicts each entry before its next use, so
+    the bound is 4096 entries (6.6 MB at 100 units). The solve runs
     without the interpreter lock, so pool threads initialise guesses at once,
     and with OpenBLAS at one thread, so the cached value is the same whatever
     thread count the first caller had (from about N = 300, ``dgeev`` rounds
     otherwise on two threads).
     """
-    with _openblas.one_thread():
-        eigvals = _openblas.eigvals(_recurrent_raw(seed, layer, n_units, attempt))
+    with _native.one_thread():
+        eigvals = _native.eigvals(_recurrent_raw(seed, layer, n_units, attempt))
     rho_raw = float(np.max(np.abs(eigvals)))
     if rho_raw < MIN_SCALABLE_RADIUS:
         return None

@@ -38,9 +38,9 @@ class SpectrumReport:
 
     ``per_layer[i]`` is the layer-(i+1) curve over ``freq_bins``;
     normalization is per-unit max before averaging, then a per-layer max
-    rescale (recorded in ``normalization``). ``zero_units`` counts unit
-    series that were identically zero after the washout and therefore
-    contributed zeros without normalization.
+    rescale to 1. ``zero_units`` counts unit series that were identically
+    zero after the washout and therefore contributed zeros without
+    normalization.
     """
 
     freq_bins: np.ndarray
@@ -51,7 +51,6 @@ class SpectrumReport:
     num_layers: int
     units_per_layer: int
     zero_units: int
-    normalization: str = "per-unit max before averaging; layer curve rescaled to max 1"
     params: Optional[HyperParams] = None
 
 

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import deepesn as de
 from deepesn import cli as cli_mod
-from deepesn import _openblas, mso
+from deepesn import _native
 from deepesn import reservoir as rc
 from deepesn.cli import ANALYSIS_POINT, _build_parser, _result_row, main
 
@@ -82,6 +86,23 @@ def test_verify_flat_defaults_pass_at_depth(tmp_path):
         assert main(["verify-flat", "--seed", seed, "--out", str(out)]) == 0
         record = json.loads((out / "equivalence.txt").read_text())
         assert record["max_rel_diff"] <= 1e-12
+
+
+def test_verify_flat_files_do_not_depend_on_blas_threads(tmp_path):
+    # verify-flat computes with OpenBLAS at one thread, as run and spectrum
+    # do; at 3x300 the layered and the flat products round otherwise on two
+    # threads (max_abs_diff 3.64e-12 at one thread against 3.87e-12 at two)
+    if _native.threads() is None:
+        pytest.skip("numpy's BLAS exposes no thread-count setter")
+    files = []
+    for count in ("1", "2"):
+        out = tmp_path / count
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=count,
+                   PYTHONPATH=str(Path(de.__file__).parents[1]))
+        subprocess.run([sys.executable, "-m", "deepesn.cli", "verify-flat", "--layers", "3",
+                        "--units", "300", "--out", str(out)], env=env, check=True, timeout=300)
+        files.append((out / "equivalence.txt").read_bytes())
+    assert files[0] == files[1]
 
 
 def test_verify_flat_has_no_length(tmp_path):
@@ -351,7 +372,7 @@ def test_spectrum_files_match_a_serial_hand_loop(tmp_path, monkeypatch, cores):
     # the guesses run on run's pool and are added in guess order, so every
     # thread count writes the files of layer_spectra over serial runs (at
     # 20 units OpenBLAS splits no product, so its thread count is moot)
-    monkeypatch.setattr(mso, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(_native, "_usable_cores", lambda: cores)
     out = tmp_path / "pooled"
     assert main(["spectrum", "--task", "mso12", "--layers", "3", "--units", "20",
                  "--length", "400", "--washout", "50", "--guesses", "5", "--seed", "4",
@@ -371,7 +392,7 @@ def test_spectrum_files_match_a_serial_hand_loop(tmp_path, monkeypatch, cores):
 def test_spectrum_files_do_not_depend_on_blas_threads(tmp_path):
     # the guesses run with OpenBLAS at one thread, as run's do; at 3x100 the
     # simulation's products split over two BLAS threads and round otherwise
-    threads = _openblas.threads()
+    threads = _native.threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
     get_threads, set_threads = threads
@@ -533,7 +554,7 @@ def test_spectrum_holds_one_guess_at_a_time(tmp_path, monkeypatch):
     # curves: ten guesses on two threads cost one guess more than one does,
     # two layers' states and one layer's spectra (about 3.7 layers' states
     # here; whole guesses held 10)
-    monkeypatch.setattr(mso, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_native, "_usable_cores", lambda: 2)
     layers, units, length = 8, 20, 1000
     layer_bytes = length * units * 8
 
@@ -550,7 +571,7 @@ def test_spectrum_guess_memory_does_not_grow_with_depth(tmp_path, monkeypatch):
     # a guess holds one layer's weights and the states of the layer being
     # solved and the one driving it, so eight layers peak within one layer's
     # states of two (whole guesses grew by six)
-    monkeypatch.setattr(mso, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(_native, "_usable_cores", lambda: 1)
     units, length = 50, 1000
     layer_bytes = length * units * 8
 

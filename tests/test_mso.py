@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import functools
 import math
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepesn as de
-from deepesn import _openblas, mso
+from deepesn import _native, mso
 from deepesn import reservoir as rc
 from deepesn.mso import _evaluate_pair, _mean, _signal_and_targets, _std
 
@@ -177,7 +176,7 @@ def test_grid_search_matches_hand_pipeline():
         assert rec.per_guess_test == tuple(test[:, j])
 
 
-def test_evaluate_config_matches_hand_pipeline():
+def test_evaluate_pair_matches_hand_pipeline():
     # the one config evaluator, _evaluate_pair, at unit input scale: bitwise
     # agreement with run + fit_ridge per guess
     task = de.MsoTask(5)
@@ -187,22 +186,6 @@ def test_evaluate_config_matches_hand_pipeline():
     val, test = _hand_scores(task, SMALL_PARAMS, (1e-6,), 2, base_seed=3)
     assert records[0].per_guess_val == tuple(val[:, 0])
     assert records[0].per_guess_test == tuple(test[:, 0])
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS at one thread, as in a sweep's guesses (no-op without its symbols)."""
-    threads = _openblas.threads()
-    if threads is None:
-        yield
-        return
-    get_threads, set_threads = threads
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
 
 
 WIDE_PARAMS = dataclasses.replace(SMALL_PARAMS, units_per_layer=200)
@@ -216,18 +199,18 @@ def test_grid_search_matches_hand_pipeline_wide():
     grid = dataclasses.replace(SMALL_GRID, units_per_layer=200, base_seed=3,
                                ridge_lambdas=de.DEFAULT_LAMBDAS)
     result = de.grid_search(task, grid)
-    with _one_blas_thread():
+    with _native.one_thread():
         val, test = _hand_scores(task, WIDE_PARAMS, grid.ridge_lambdas, 2, base_seed=3)
     for j, rec in enumerate(result.records):
         assert rec.per_guess_val == tuple(val[:, j])
         assert rec.per_guess_test == tuple(test[:, j])
 
 
-def test_evaluate_config_matches_hand_pipeline_wide():
+def test_evaluate_pair_matches_hand_pipeline_wide():
     task = de.MsoTask(5)
     grid = dataclasses.replace(SMALL_GRID, units_per_layer=200, ridge_lambdas=(1e-6,),
                                base_seed=3)
-    with _one_blas_thread():  # _evaluate_pair maps the guesses in this thread
+    with _native.one_thread():  # _evaluate_pair maps the guesses in this thread
         [(scale, records)] = _evaluate_pair(task, grid, 0.9, 0.7)
         val, test = _hand_scores(task, WIDE_PARAMS, (1e-6,), 2, base_seed=3)
     assert records[0].per_guess_val == tuple(val[:, 0])
@@ -411,9 +394,9 @@ def test_bundled_openblas_exposes_the_thread_setter():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if blas != "scipy-openblas":
         pytest.skip(f"numpy is built against {blas}, not its bundled OpenBLAS")
-    assert _openblas.threads() is not None
-    assert _openblas._routine("dgeev", 14) is not None
-    assert _openblas._routine("dgeqrf", 8) is not None
+    assert _native.threads() is not None
+    assert _native._routine("dgeev", 14) is not None
+    assert _native._routine("dgeqrf", 8) is not None
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -463,7 +446,7 @@ TINY_GRID = de.GridSpec(
 
 def _sweep(monkeypatch, cores, grid=TINY_GRID, **kwargs):
     """``grid_search`` on MSO5 as if ``cores`` cores were usable."""
-    monkeypatch.setattr(mso, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(_native, "_usable_cores", lambda: cores)
     return de.grid_search(de.MsoTask(5), grid, **kwargs)
 
 
@@ -594,7 +577,7 @@ def test_grid_search_threads_keep_their_buffers(monkeypatch):
     assert stressed.records == calm.records
 
 def test_grid_search_restores_blas_threads(monkeypatch):
-    threads = _openblas.threads()
+    threads = _native.threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
     get_threads, set_threads = threads
@@ -622,7 +605,7 @@ def test_threads_after_a_sweep_keep_no_freed_arrays_resident():
     # array resident after the thread exits, so what a pooled sweep left
     # behind varied from run to run; a sweep fixes the thresholds. Run in a
     # fresh interpreter, as the setting lasts for the process.
-    if not sys.platform.startswith("linux") or _openblas.threads() is None:
+    if not sys.platform.startswith("linux") or _native.threads() is None:
         pytest.skip("needs glibc and numpy's BLAS thread-count setter")
     code = textwrap.dedent("""
         import threading
@@ -656,7 +639,7 @@ def test_grid_search_records_match_across_workers_at_two_blas_threads(monkeypatc
     # BLAS results depend on its thread count once its products are large
     # enough to split (4x50 is; TINY_GRID is not); the sweep pins one thread
     # for every pool size, so pools of one and two write the same records
-    threads = _openblas.threads()
+    threads = _native.threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
     grid = dataclasses.replace(TINY_GRID, num_layers=4, units_per_layer=50)
@@ -677,7 +660,7 @@ def test_a_weight_cache_warmed_at_two_blas_threads_keeps_the_records(monkeypatch
     # from about N = 300 dgeev rounds otherwise on two threads; the cached
     # eigenvalues are solved at one thread whoever asks first, so a sweep
     # after a main-thread init_reservoir writes a cold sweep's records
-    threads = _openblas.threads()
+    threads = _native.threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
     grid = de.GridSpec(1, 300, leak_rates=(0.9,), spectral_radii=(0.7,), guesses=2,
@@ -699,8 +682,22 @@ def test_a_weight_cache_warmed_at_two_blas_threads_keeps_the_records(monkeypatch
     assert repr(warm.records) == repr(cold.records)
 
 
+def test_a_sweep_past_256_weight_draws_hits_the_cache_on_every_later_pair(monkeypatch):
+    # a sweep revisits each (seed, layer) once per (leak, radius) pair; with
+    # 30 guesses x 10 layers an LRU cache of 256 evicted every entry before
+    # its next use and missed every lookup
+    grid = de.GridSpec(10, 5, input_scales=(1.0,), leak_rates=(0.9,),
+                       spectral_radii=(0.7, 0.8, 0.9), ridge_lambdas=(1e-4,), guesses=30)
+    draws = grid.num_layers * grid.guesses
+    infos, cache_info = [], rc._recurrent_base.cache_info
+    rc._recurrent_base.cache_clear()
+    _sweep(monkeypatch, 2, grid, on_result=lambda rec: infos.append(cache_info()))
+    assert [(info.hits, info.misses) for info in infos] == [
+        (pair * draws, draws) for pair in range(len(grid.spectral_radii))]
+
+
 def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
-    if _openblas.threads() is None:
+    if _native.threads() is None:
         pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
     pools = []
 
@@ -709,7 +706,7 @@ def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(mso, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_native, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     capped = de.grid_search(de.MsoTask(5), TINY_GRID)       # at most one per guess
     assert pools == [TINY_GRID.guesses]
@@ -725,8 +722,8 @@ def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
     def no_pool(*args):
         raise AssertionError("without the BLAS setter the sweep makes no pool")
 
-    monkeypatch.setattr(_openblas, "threads", lambda: None)
-    monkeypatch.setattr(mso, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(_native, "threads", lambda: None)
+    monkeypatch.setattr(_native, "ThreadPoolExecutor", no_pool)
     for cores in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

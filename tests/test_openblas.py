@@ -1,14 +1,16 @@
+import ast
 import contextlib
 import ctypes
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepesn import _openblas
+from deepesn import _native
 from deepesn.readout import fit_ridge_sweep
 
 
@@ -38,7 +40,7 @@ def test_eigvals_matches_numpy_bit_for_bit(n, pairs, seed):
     a = _spectrum_matrix(n, pairs, seed)
     want = np.linalg.eigvals(a)
     assert want.dtype == (np.complex128 if pairs and n > 1 else np.float64)
-    got = _openblas.eigvals(a)
+    got = _native.eigvals(a)
     assert _same(got, want)
     assert np.array_equal(a, _spectrum_matrix(n, pairs, seed))  # the input is untouched
 
@@ -48,7 +50,7 @@ def test_eigvals_matches_numpy_bit_for_bit(n, pairs, seed):
 def test_qr_raw_matches_numpy_bit_for_bit(shape):
     x = np.random.default_rng(sum(shape)).standard_normal(shape)
     kept = x.copy()
-    h, tau = _openblas.qr_raw(x)
+    h, tau = _native.qr_raw(x)
     want_h, want_tau = np.linalg.qr(x.T, mode="raw")
     assert _same(h, want_h) and _same(tau, want_tau)
     assert np.array_equal(x, kept)
@@ -58,10 +60,10 @@ def test_without_the_symbols_the_wrappers_are_numpy(monkeypatch):
     rng = np.random.default_rng(5)
     a, x, y = rng.standard_normal((12, 12)), rng.standard_normal((20, 45)), rng.standard_normal(20)
     with_symbols = fit_ridge_sweep(x, y, [1e-6, 1.0])
-    monkeypatch.setattr(_openblas, "_symbol", lambda *args: None)
-    assert _openblas.threads() is None
-    assert _same(_openblas.eigvals(a), np.linalg.eigvals(a))
-    for got, want in zip(_openblas.qr_raw(x), np.linalg.qr(x.T, mode="raw")):
+    monkeypatch.setattr(_native, "_symbol", lambda *args: None)
+    assert _native.threads() is None
+    assert _same(_native.eigvals(a), np.linalg.eigvals(a))
+    for got, want in zip(_native.qr_raw(x), np.linalg.qr(x.T, mode="raw")):
         assert _same(got, want)
     for got, want in zip(fit_ridge_sweep(x, y, [1e-6, 1.0]), with_symbols):
         assert _same(got.weights, want.weights)
@@ -71,7 +73,7 @@ def test_without_the_symbols_the_wrappers_are_numpy(monkeypatch):
 def test_eigvals_rejects_non_finite_entries_as_numpy_does(bad):
     a = np.eye(4)
     a[1, 2] = bad
-    for eigvals in (np.linalg.eigvals, _openblas.eigvals):
+    for eigvals in (np.linalg.eigvals, _native.eigvals):
         with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
             eigvals(a)
 
@@ -90,13 +92,13 @@ def _failing(work_at: int, info: int):
 
 
 @pytest.mark.parametrize("call,routine,match", [
-    (lambda: _openblas.eigvals(np.eye(3)), _failing(11, 1), "did not converge"),
-    (lambda: _openblas.qr_raw(np.ones((2, 3))), _failing(5, -4), "QR factorization"),
+    (lambda: _native.eigvals(np.eye(3)), _failing(11, 1), "did not converge"),
+    (lambda: _native.qr_raw(np.ones((2, 3))), _failing(5, -4), "QR factorization"),
 ])
 def test_lapack_failures_raise_linalg_error(monkeypatch, call, routine, match):
-    if _openblas._routine("dgeev", 14) is None:
+    if _native._routine("dgeev", 14) is None:
         pytest.skip("numpy's OpenBLAS exposes no LAPACK symbols")
-    monkeypatch.setattr(_openblas, "_symbol", lambda *args: routine)
+    monkeypatch.setattr(_native, "_symbol", lambda *args: routine)
     with pytest.raises(np.linalg.LinAlgError, match=match):
         call()
 
@@ -106,14 +108,14 @@ def test_one_thread_pins_while_any_thread_is_inside(monkeypatch):
     # leaving at random see one thread inside, and the count before the
     # first is back after the last, also when a body raises
     count = [3]
-    monkeypatch.setattr(_openblas, "threads",
+    monkeypatch.setattr(_native, "threads",
                         lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
     seen = []
 
     def churn(k):
         for i in range(200):
-            with contextlib.suppress(KeyError), _openblas.one_thread():
-                with _openblas.one_thread():
+            with contextlib.suppress(KeyError), _native.one_thread():
+                with _native.one_thread():
                     seen.append(count[0])
                 if (k + i) % 7 == 0:
                     raise KeyError(k)
@@ -127,4 +129,24 @@ def test_one_thread_pins_while_any_thread_is_inside(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(seen) > 1600 and set(seen) == {1}
-    assert count == [3] and _openblas._pin_holders == 0
+    assert count == [3] and _native._pin_holders == 0
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules a source file imports (relative ones excluded)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_native_calls_native_code():
+    # every ctypes call and process-wide native setting lives in _native;
+    # mso is the protocol only and starts no thread of its own
+    package = Path(_native.__file__).parent
+    imports = {path.stem: _imported_modules(path) for path in package.glob("*.py")}
+    assert {name for name, found in imports.items() if "ctypes" in found} == {"_native"}
+    assert not imports["mso"] & {"ctypes", "concurrent", "os", "threading"}

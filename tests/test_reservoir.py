@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import deepesn as de
-from deepesn import _openblas
+from deepesn import _native
 from deepesn import reservoir as rc
 from deepesn.exceptions import DegenerateConfigurationError, UnscalableMatrixError
 
@@ -204,7 +204,7 @@ def test_recurrent_cache_holds_eigenvalues_only():
 def test_init_does_not_depend_on_blas_threads():
     # from about N = 300 dgeev on two threads changes rho_raw; the cached
     # solve runs at one thread, so the weights are the same either way
-    threads = _openblas.threads()
+    threads = _native.threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
     get_threads, set_threads = threads
