@@ -187,7 +187,7 @@ def _recurrent_raw(seed: int, layer: int, n_units: int, attempt: int) -> np.ndar
     return g.uniform(-1.0, 1.0, (n_units, n_units))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
     """Spectral radius and normalized eigenvalues of a layer's recurrent draw.
 
@@ -199,10 +199,7 @@ def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
 
     Only the eigenvalues are cached, about 16 bytes per unit: they give the
     effective spectral radius for any leak rate without another dense solve,
-    which costs far more than drawing the matrix again. A sweep revisits
-    every (seed, layer) once per (leak, radius) pair, and an LRU cache
-    smaller than guesses x layers evicts each entry before its next use, so
-    the bound is 4096 entries (6.6 MB at 100 units). The solve runs
+    which costs far more than drawing the matrix again. The solve runs
     without the interpreter lock, so pool threads initialise guesses at once,
     and with OpenBLAS at one thread, so the cached value is the same whatever
     thread count the first caller had (from about N = 300, ``dgeev`` rounds

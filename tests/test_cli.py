@@ -1,10 +1,6 @@
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -92,17 +88,23 @@ def test_verify_flat_files_do_not_depend_on_blas_threads(tmp_path):
     # verify-flat computes with OpenBLAS at one thread, as run and spectrum
     # do; at 3x300 the layered and the flat products round otherwise on two
     # threads (max_abs_diff 3.64e-12 at one thread against 3.87e-12 at two)
-    if _native.threads() is None:
+    threads = _native.threads()
+    if threads is None:
         pytest.skip("numpy's BLAS exposes no thread-count setter")
-    files = []
-    for count in ("1", "2"):
-        out = tmp_path / count
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=count,
-                   PYTHONPATH=str(Path(de.__file__).parents[1]))
-        subprocess.run([sys.executable, "-m", "deepesn.cli", "verify-flat", "--layers", "3",
-                        "--units", "300", "--out", str(out)], env=env, check=True, timeout=300)
-        files.append((out / "equivalence.txt").read_bytes())
-    assert files[0] == files[1]
+    get_threads, set_threads = threads
+    before = get_threads()
+    files = {}
+    try:
+        for count in (1, 2):
+            set_threads(count)
+            out = tmp_path / str(count)
+            assert main(["verify-flat", "--layers", "3", "--units", "300",
+                         "--out", str(out)]) == 0
+            assert get_threads() == count
+            files[count] = (out / "equivalence.txt").read_bytes()
+    finally:
+        set_threads(before)
+    assert files[1] == files[2]
 
 
 def test_verify_flat_has_no_length(tmp_path):

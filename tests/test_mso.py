@@ -682,20 +682,6 @@ def test_a_weight_cache_warmed_at_two_blas_threads_keeps_the_records(monkeypatch
     assert repr(warm.records) == repr(cold.records)
 
 
-def test_a_sweep_past_256_weight_draws_hits_the_cache_on_every_later_pair(monkeypatch):
-    # a sweep revisits each (seed, layer) once per (leak, radius) pair; with
-    # 30 guesses x 10 layers an LRU cache of 256 evicted every entry before
-    # its next use and missed every lookup
-    grid = de.GridSpec(10, 5, input_scales=(1.0,), leak_rates=(0.9,),
-                       spectral_radii=(0.7, 0.8, 0.9), ridge_lambdas=(1e-4,), guesses=30)
-    draws = grid.num_layers * grid.guesses
-    infos, cache_info = [], rc._recurrent_base.cache_info
-    rc._recurrent_base.cache_clear()
-    _sweep(monkeypatch, 2, grid, on_result=lambda rec: infos.append(cache_info()))
-    assert [(info.hits, info.misses) for info in infos] == [
-        (pair * draws, draws) for pair in range(len(grid.spectral_radii))]
-
-
 def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
     if _native.threads() is None:
         pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
