@@ -12,8 +12,8 @@ from .flat import EquivalenceReport, FlatSystem, flatten, run_flat, verify_equiv
 from .mso import (CANONICAL_PHIS, DEFAULT_LAMBDAS, ConfigResult, ExperimentResult,
                   GridSpec, MsoTask, SplitSpec, generate_mso, grid_search)
 from .readout import Readout, fit_ridge, fit_ridge_sweep, nrmse, predict
-from .reservoir import (DeepReservoir, HyperParams, StateTrajectory, effective_matrix,
-                        init_reservoir, run, spectral_radius, step, zero_state)
+from .reservoir import (DeepReservoir, HyperParams, effective_matrix, init_reservoir, run,
+                        spectral_radius, step)
 from .spectral import (SpectrumReport, SpikeMetrics, layer_spectra,
                        magnitude_spectrum, spike_metrics)
 
@@ -21,12 +21,11 @@ __all__ = [
     "CANONICAL_PHIS", "DEFAULT_LAMBDAS", "ConfigResult", "DeepReservoir",
     "DegenerateConfigurationError", "EquivalenceReport", "ExperimentResult",
     "FlatSystem", "GridSpec", "HyperParams", "MsoTask", "Readout",
-    "SpectrumReport", "SpikeMetrics", "SplitSpec", "StateTrajectory",
-    "UnscalableMatrixError", "effective_matrix", "fit_ridge", "fit_ridge_sweep",
-    "flatten", "generate_mso", "grid_search", "init_reservoir", "layer_spectra",
-    "magnitude_spectrum", "nrmse", "predict", "run", "run_flat",
-    "spectral_radius", "spike_metrics", "step", "verify_equivalence",
-    "zero_state",
+    "SpectrumReport", "SpikeMetrics", "SplitSpec", "UnscalableMatrixError",
+    "effective_matrix", "fit_ridge", "fit_ridge_sweep", "flatten", "generate_mso",
+    "grid_search", "init_reservoir", "layer_spectra", "magnitude_spectrum", "nrmse",
+    "predict", "run", "run_flat", "spectral_radius", "spike_metrics", "step",
+    "verify_equivalence",
 ]
 
 __version__ = "0.1.0"

@@ -400,8 +400,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     sig_p = sub.add_parser("signal", help="dump the MSO input sequence")
     sig_p.add_argument("--task", type=_parse_task, default=12)
     sig_p.add_argument("--length", type=int, default=1000)
-    sig_p.add_argument("--excerpt", type=int, default=None,
-                       help="only the first N steps")
     sig_p.add_argument("--out", required=True)
     return parser, run_p
 
@@ -453,7 +451,11 @@ def _spectrum(args: argparse.Namespace) -> int:
         raise ValueError(f"spectrum needs --guesses >= 1, got {args.guesses}")
     _require_analysis_window(args.washout, args.length)
     _require_driven("spectrum", args.scale_in)  # zero states: every filtering ratio 0/0
-    spectra = _spectra(args, _analysis_params(args))
+    params = _analysis_params(args)
+    if params.seed > 2 ** 64 - args.guesses:
+        raise ValueError(f"spectrum's last seed, --seed + --guesses - 1, must be below "
+                         f"2**64, got --seed {args.seed} and --guesses {args.guesses}")
+    spectra = _spectra(args, params)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "config.echo"), vars(args))
     _write_spectra(args.out, *spectra)
@@ -471,9 +473,7 @@ def _verify_flat(args: argparse.Namespace) -> int:
 
 
 def _signal(args: argparse.Namespace) -> int:
-    if args.excerpt is not None and args.excerpt < 1:
-        raise ValueError(f"excerpt must be >= 1, got {args.excerpt}")
-    signal = _mso_signal(args.task, args.length)[0][: args.excerpt]
+    signal, _ = _mso_signal(args.task, args.length)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "signal.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -16,12 +16,12 @@ unrolling the layer updates within one time step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import (DeepReservoir, StateTrajectory, _as_input_matrix,
-                        _readonly, effective_matrix, run)
+from .reservoir import DeepReservoir, _as_input_matrix, _readonly, effective_matrix, run
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,11 @@ def flatten(res: DeepReservoir) -> FlatSystem:
     return FlatSystem(v=_readonly(v), v_in=_readonly(v_in), block_dims=(n_l, n_r, p.input_dim))
 
 
-def run_flat(flat: FlatSystem, inputs) -> StateTrajectory:
+def run_flat(flat: FlatSystem, inputs) -> np.ndarray:
     """Iterate the flat recurrence from the zero vector.
 
-    The trajectory uses the same layer-partitioned layout as the layered
-    runner, so entries are index-aligned for comparison.
+    Returns the read-only ``(steps, num_layers, units_per_layer)`` states,
+    the layout of ``run``, so entries are index-aligned for comparison.
     """
     n_l, n_r, n_u = flat.block_dims
     u = _as_input_matrix(inputs, n_u)
@@ -92,7 +92,7 @@ def run_flat(flat: FlatSystem, inputs) -> StateTrajectory:
     for t in range(u.shape[0]):
         x = flat.v @ x + flat.v_in @ u[t]
         out[t] = x
-    return StateTrajectory(states=_readonly(out.reshape(u.shape[0], n_l, n_r)))
+    return _readonly(out.reshape(u.shape[0], n_l, n_r))
 
 
 def verify_equivalence(res: DeepReservoir, inputs, rel_tol: float) -> EquivalenceReport:
@@ -102,12 +102,13 @@ def verify_equivalence(res: DeepReservoir, inputs, rel_tol: float) -> Equivalenc
     difference stays within ``rel_tol`` times the largest magnitude of the
     flat system's state in that layer. Rounding grows with the states,
     which reach ~1e9 by layer 10 at input scale 1, so an absolute bound
-    would test the depth of the network rather than the rewrite.
+    would test the depth of the network rather than the rewrite. An infinite
+    ``rel_tol`` would pass any gap, so it must be finite and positive.
     """
-    if not rel_tol > 0.0:
-        raise ValueError("rel_tol must be positive")
-    layered = run(res, inputs).states
-    flat = run_flat(flatten(res), inputs).states
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    layered = run(res, inputs)
+    flat = run_flat(flatten(res), inputs)
     gaps = np.abs(layered - flat)
     layer_gaps = gaps.max(axis=(0, 2))
     with np.errstate(divide="ignore", invalid="ignore"):

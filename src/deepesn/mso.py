@@ -142,8 +142,10 @@ class GridSpec:
         if not all(_is_int(n) and n >= 1
                    for n in (self.num_layers, self.units_per_layer, self.guesses)):
             raise ValueError("num_layers, units_per_layer and guesses must be integers >= 1")
-        if not (_is_int(self.base_seed) and self.base_seed >= 0):
-            raise ValueError(f"base_seed must be an integer >= 0, got {self.base_seed!r}")
+        if not (_is_int(self.base_seed) and self.base_seed >= 0
+                and int(self.base_seed) + int(self.guesses) <= 2 ** 64):
+            raise ValueError(f"base_seed must be an integer in [0, 2**64 - guesses] so that "
+                             f"every guess has a seed, got {self.base_seed!r}")
         for name in ("input_scales", "leak_rates", "spectral_radii", "ridge_lambdas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
@@ -276,7 +278,7 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
         try:
             params = HyperParams(grid.num_layers, grid.units_per_layer, leak_rate=leak,
                                  spectral_radius_target=rho, seed=seed)
-            states = run(init_reservoir(params), u).states
+            states = run(init_reservoir(params), u)
         except Exception as exc:  # recorded per scale, excluded from selection
             return [exc] * len(scales)
         layers = np.arange(grid.num_layers)

@@ -90,10 +90,6 @@ class HyperParams:
         if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be an integer in [0, 2**64)")
 
-    @property
-    def total_units(self) -> int:
-        return self.num_layers * self.units_per_layer
-
 
 @dataclass(frozen=True)
 class DeepReservoir:
@@ -108,32 +104,6 @@ class DeepReservoir:
     inter_layer_weights: tuple[np.ndarray, ...]
     recurrent_weights: tuple[np.ndarray, ...]
     params: HyperParams
-
-
-@dataclass(frozen=True)
-class StateTrajectory:
-    """Time-major record of layered states over a run.
-
-    ``states`` has shape ``(steps, num_layers, units_per_layer)``; entry
-    ``t`` holds the state after consuming input ``t``. ``concatenated``
-    flattens the layer axis with layer 1 first, layer N_L last.
-    """
-
-    states: np.ndarray
-
-    @property
-    def num_steps(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def concatenated(self) -> np.ndarray:
-        t, n_layers, n_units = self.states.shape
-        return self.states.reshape(t, n_layers * n_units)
-
-
-def zero_state(params: HyperParams) -> np.ndarray:
-    """Initial layered state: all zeros, shape (num_layers, units_per_layer)."""
-    return np.zeros((params.num_layers, params.units_per_layer))
 
 
 def effective_matrix(recurrent: np.ndarray, leak_rate: float) -> np.ndarray:
@@ -417,12 +387,14 @@ def _solve_layers(layers: Iterable[tuple[np.ndarray, np.ndarray]], u: np.ndarray
         yield x
 
 
-def run(res: DeepReservoir, inputs) -> StateTrajectory:
+def run(res: DeepReservoir, inputs) -> np.ndarray:
     """Drive the reservoir from the zero state through an input sequence.
 
     ``inputs`` is ``(steps, input_dim)`` (a plain 1-D sequence is accepted
-    for one-dimensional input). Step ``t`` of the trajectory is the state
-    after consuming input ``t``.
+    for one-dimensional input). Returns the read-only ``(steps, num_layers,
+    units_per_layer)`` states: entry ``t`` holds the state after consuming
+    input ``t``, and ``reshape(steps, -1)`` concatenates the layers, layer 1
+    first.
 
     Layers are swept one at a time by ``_solve_layers``: layer ``i - 1``'s
     whole trajectory is known before layer ``i`` starts, because it only
@@ -435,4 +407,4 @@ def run(res: DeepReservoir, inputs) -> StateTrajectory:
     layers = zip((res.input_weights,) + res.inter_layer_weights, res.recurrent_weights)
     for _ in _solve_layers(layers, u, p.leak_rate, out):
         pass
-    return StateTrajectory(states=_readonly(out))
+    return _readonly(out)

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .reservoir import HyperParams, StateTrajectory, _readonly
+from .reservoir import HyperParams, _readonly
 
 #: Half-width (in bins) of the window searched around an expected spike bin;
 #: covers rectangular-window leakage of near-bin sinusoids.
@@ -142,19 +142,20 @@ def _report(per_guess: Iterable[tuple[tuple[int, ...], np.ndarray, int]], washou
     )
 
 
-def layer_spectra(trajectories: Iterable[StateTrajectory], washout: int,
+def layer_spectra(trajectories: Iterable[np.ndarray], washout: int,
                   params: Optional[HyperParams] = None) -> SpectrumReport:
     """Averaged per-layer spectra over a set of reservoir guesses.
 
-    For every guess, layer, and unit: drop the washout steps, take the
-    magnitude spectrum of the unit's series, normalize it to max 1, then
-    average over units and guesses. Identically-zero unit series skip
-    normalization and are tallied in the report diagnostics. The
+    Each trajectory is one guess's ``(steps, layers, units)`` states, as
+    ``run`` returns them. For every guess, layer, and unit: drop the washout
+    steps, take the magnitude spectrum of the unit's series, normalize it to
+    max 1, then average over units and guesses. Identically-zero unit series
+    skip normalization and are tallied in the report diagnostics. The
     trajectories are read once, in order, so a generator keeps only one
     guess's states alive at a time.
     """
     # map keeps no reference to a trajectory once its curves are made
-    return _report(map(lambda traj: _guess_curves(np.moveaxis(traj.states, 1, 0), washout),
+    return _report(map(lambda states: _guess_curves(np.moveaxis(states, 1, 0), washout),
                        trajectories), washout, params)
 
 

@@ -197,17 +197,17 @@ def test_criterion_9_linearity_properties():
     rng = np.random.default_rng(912)
     u = rng.uniform(-1, 1, 300)
     v = rng.uniform(-1, 1, 300)
-    base = de.run(reservoir, u).concatenated
-    homogeneity = np.max(np.abs(de.run(reservoir, 2.5 * u).concatenated - 2.5 * base))
-    superposition = np.max(np.abs(
-        de.run(reservoir, u + v).concatenated
-        - base - de.run(reservoir, v).concatenated))
+    def concatenated(inputs):
+        return de.run(reservoir, inputs).reshape(len(inputs), -1)
+
+    base = concatenated(u)
+    homogeneity = np.max(np.abs(concatenated(2.5 * u) - 2.5 * base))
+    superposition = np.max(np.abs(concatenated(u + v) - base - concatenated(v)))
 
     # no harmonic distortion: single in-bin sine leaves <1% energy out of band
     t = np.arange(1, 1537)
     k, window = 24, 512
-    traj = de.run(reservoir, np.sin(2 * np.pi * k * t / window))
-    washed = traj.concatenated[-window:]
+    washed = concatenated(np.sin(2 * np.pi * k * t / window))[-window:]
     worst_fraction = 0.0
     for unit in range(washed.shape[1]):
         mags = de.magnitude_spectrum(washed[:, unit])

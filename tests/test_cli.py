@@ -23,7 +23,7 @@ def refuse(*args, **kwargs):
 
 def test_signal_excerpt_rows(tmp_path):
     out = tmp_path / "sig"
-    assert main(["signal", "--task", "mso12", "--excerpt", "400",
+    assert main(["signal", "--task", "mso12", "--length", "400",
                  "--out", str(out)]) == 0
     lines = read_lines(out / "signal.csv")
     assert lines[0] == "time,value"
@@ -46,13 +46,6 @@ def test_short_signals_accepted(tmp_path):
     assert main(["verify-flat", "--steps", "300", "--layers", "2", "--units", "3",
                  "--out", str(tmp_path / "eq")]) == 0
     assert main(["signal", "--length", "0", "--out", str(tmp_path / "empty")]) == 2
-
-
-def test_signal_rejects_excerpt_below_one(tmp_path):
-    for excerpt in ("0", "-5"):
-        out = tmp_path / f"sig{excerpt}"
-        assert main(["signal", "--excerpt", excerpt, "--out", str(out)]) == 2
-        assert not (out / "signal.csv").exists()
 
 
 def test_signal_task_parsing(tmp_path):
@@ -228,7 +221,8 @@ REMOVED_RUN_FLAGS = ("--length", "--spectral-analysis", "--equivalence-check", "
                                  ["--spectral-analysis"], ["--equivalence-check"],
                                  ["--washout", "100"],
                                  ["--scale-in", "1"], ["--leak", "0.5"], ["--rho", "0.7"],
-                                 ["--lambda", "1e-6", "--leak", "0.5"]])
+                                 ["--lambda", "1e-6", "--leak", "0.5"],
+                                 ["--guesses", "2", "--seed", str(2 ** 64 - 1)]])
 def test_run_rejects_bad_sizes_before_writing(tmp_path, capsys, monkeypatch, bad):
     # a grid sweeps every candidate, so it refuses a point it would ignore
     monkeypatch.setattr(cli_mod, "grid_search", refuse)
@@ -532,6 +526,8 @@ def test_run_flags_win_over_config(tmp_path):
     ["verify-flat", "--layers", "0"],
     ["spectrum", "--scale-in", "0"],  # all-zero states: every filtering ratio 0/0
     ["verify-flat", "--scale-in", "0"],  # all-zero states: every gap 0, a vacuous pass
+    ["spectrum", "--guesses", "2", "--seed", str(2 ** 64 - 1)],  # guess 1 has no seed
+    ["verify-flat", "--tol", "inf"],  # would pass any gap
 ])
 def test_analyses_reject_bad_values_before_writing(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli_mod, "_solve_layers", refuse)

@@ -74,23 +74,22 @@ def test_flatten_product_order_three_layers(rng):
 
 def test_run_flat_zero_inputs(small_reservoir):
     flat = de.flatten(small_reservoir)
-    traj = de.run_flat(flat, np.zeros(10))
-    assert np.all(traj.states == 0.0)
+    assert np.all(de.run_flat(flat, np.zeros(10)) == 0.0)
 
 
 def test_run_flat_single_step_is_vin_u(small_reservoir):
     flat = de.flatten(small_reservoir)
     u = np.array([0.37])
-    traj = de.run_flat(flat, u)
-    np.testing.assert_allclose(traj.concatenated[0], flat.v_in[:, 0] * 0.37, rtol=1e-15)
+    states = de.run_flat(flat, u)
+    np.testing.assert_allclose(states.reshape(1, -1)[0], flat.v_in[:, 0] * 0.37, rtol=1e-15)
 
 
 def test_run_flat_matches_layered_50_steps(rng):
     p = de.HyperParams(4, 5, leak_rate=0.7, spectral_radius_target=0.9, seed=8)
     r = de.init_reservoir(p)
     u = rng.uniform(-1, 1, 50)
-    layered = de.run(r, u).concatenated
-    flat = de.run_flat(de.flatten(r), u).concatenated
+    layered = de.run(r, u).reshape(50, -1)
+    flat = de.run_flat(de.flatten(r), u).reshape(50, -1)
     assert np.max(np.abs(layered - flat)) < 1e-9
 
 
@@ -153,8 +152,10 @@ def test_verify_equivalence_catches_planted_weight_error(monkeypatch):
 
 
 def test_verify_equivalence_rejects_bad_tol(small_reservoir):
-    with pytest.raises(ValueError):
-        de.verify_equivalence(small_reservoir, np.ones(5), rel_tol=0.0)
+    # an infinite tolerance would pass any gap
+    for tol in (0.0, -1e-12, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            de.verify_equivalence(small_reservoir, np.ones(5), rel_tol=tol)
 
 
 def test_spectrum_containment(rng):

@@ -148,7 +148,7 @@ def _hand_scores(task, params, lambdas, guesses, base_seed):
     test = np.empty_like(val)
     for g in range(guesses):
         r = de.init_reservoir(dataclasses.replace(params, seed=base_seed + g))
-        concat = de.run(r, u).concatenated
+        concat = de.run(r, u).reshape(len(u), -1)
         for j, lam in enumerate(lambdas):
             fit = de.fit_ridge(concat[s.fit_slice], y[s.fit_slice], lam)
             val[g, j] = de.nrmse(de.predict(fit, concat[s.validation_slice])[:, 0],
@@ -295,7 +295,7 @@ def test_one_layer_guess_scores_every_scale_from_one_fit():
     u, targets = _signal_and_targets(task)
     scores = mso._evaluate_guess(u, targets, task.split, grid, 0.9, 0.7, 3)
     states = de.run(de.init_reservoir(de.HyperParams(1, 8, seed=3, leak_rate=0.9,
-                                                     spectral_radius_target=0.7)), u).states
+                                                     spectral_radius_target=0.7)), u)
     held = np.array(lambdas) >= 1e-6
     for scale, shared in zip(scales, scores):
         per_scale = mso._score_states(states, np.array([scale]), targets, task.split, lambdas)
@@ -341,7 +341,7 @@ def test_deep_guess_dead_scales_predict_zero():
     u, targets = _signal_and_targets(task)
     scores = mso._evaluate_guess(u, targets, task.split, grid, 0.9, 0.7, 3)
     states = de.run(de.init_reservoir(de.HyperParams(2, 6, seed=3, leak_rate=0.9,
-                                                     spectral_radius_target=0.7)), u).states
+                                                     spectral_radius_target=0.7)), u)
     zero = [de.nrmse(np.zeros(sl.stop - sl.start), targets[sl])
             for sl in (task.split.validation_slice, task.split.test_slice)]
     for rows, want in zip(scores[0], zero):
@@ -374,7 +374,7 @@ def test_scale_fold_matches_direct_fits(layers, units, seed, scales, lambdas):
     u, targets = _signal_and_targets(task)
     scores = mso._evaluate_guess(u, targets, task.split, grid, 0.9, 0.7, seed)
     states = de.run(de.init_reservoir(de.HyperParams(layers, units, seed=seed, leak_rate=0.9,
-                                                     spectral_radius_target=0.7)), u).states
+                                                     spectral_radius_target=0.7)), u)
     for scale, rows in zip(scales, scores):
         direct = mso._score_states(states, scale ** np.arange(1, layers + 1), targets,
                                    task.split, lambdas)
@@ -409,10 +409,16 @@ def test_bundled_openblas_exposes_the_thread_setter():
     dict(base_seed=True),
     dict(base_seed=1.5),
     dict(base_seed=-1),
+    dict(base_seed=2 ** 64 - 1, guesses=2),  # guess 1 would have no seed
 ])
 def test_grid_spec_rejects_bad_sizes(kwargs):
     with pytest.raises(ValueError):
         de.GridSpec(**{"num_layers": 2, "units_per_layer": 6, **kwargs})
+
+
+def test_grid_spec_accepts_seeds_up_to_the_last():
+    grid = de.GridSpec(2, 6, guesses=2, base_seed=2 ** 64 - 2)
+    de.HyperParams(2, 6, seed=grid.base_seed + grid.guesses - 1)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -536,11 +542,11 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
         return real_init(params)
 
     def run(res, u):
-        states = real_run(res, u).states
+        states = real_run(res, u)
         if res.params.seed == 8:
             states = states.copy()
             states[0, 0, 0] = 1e308
-        return de.StateTrajectory(states)
+        return states
 
     monkeypatch.setattr(mso, "init_reservoir", init_reservoir)
     monkeypatch.setattr(mso, "run", run)

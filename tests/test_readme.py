@@ -24,7 +24,7 @@ def test_readme_quick_start_fits_next_step(capsys):
     # the protocol's own next-step targets, fit and scored on the same states
     task, reservoir = namespace["task"], namespace["reservoir"]
     u, targets = _signal_and_targets(task)
-    states = de.run(reservoir, u).concatenated
+    states = de.run(reservoir, u).reshape(len(u), -1)
     split = task.split
     fit = de.fit_ridge(states[split.fit_slice], targets[split.fit_slice], 1e-8)
     expected = de.nrmse(de.predict(fit, states[split.test_slice])[:, 0],
@@ -41,10 +41,12 @@ def test_public_names_resolve():
 
 def test_readme_table_names_exist():
     # every name in "What's in the box" exists in its module, so a dropped
-    # export cannot linger in the docs
+    # export cannot linger in the docs, and every export is in the table, so
+    # an export nobody documents cannot linger either
     section = README.read_text().split("## What's in the box", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(deepesn\.\w+)` *\| (.*) \|$", section, re.M)
-    assert len(rows) == 6
+    assert len(rows) == 7
+    documented = []
     for module_name, contents in rows:
         module = importlib.import_module(module_name)
         names = re.findall(r"`([\w-]+)`", contents)
@@ -52,7 +54,8 @@ def test_readme_table_names_exist():
             assert names == ["deepesn", *module._COMMANDS]
             continue
         assert [n for n in names if not hasattr(module, n)] == [], module_name
-        assert set(names) <= set(de.__all__), module_name
+        documented += names
+    assert sorted(documented) == sorted(de.__all__)
 
 
 def test_readme_commands_parse():

@@ -60,10 +60,6 @@ def test_hyperparams_accepts_numpy_integers():
     assert de.init_reservoir(p).recurrent_weights[1].shape == (3, 3)
 
 
-def test_total_units():
-    assert de.HyperParams(10, 100).total_units == 1000
-
-
 # ------------------------------------------------------------ spectral_radius
 
 def test_spectral_radius_identity():
@@ -230,7 +226,7 @@ def test_weight_arrays_are_readonly(small_reservoir):
 # ----------------------------------------------------------------------- step
 
 def test_step_zero_fixed_point(small_reservoir, small_params):
-    state = de.zero_state(small_params)
+    state = np.zeros((small_params.num_layers, small_params.units_per_layer))
     out = de.step(small_reservoir, state, np.zeros(1))
     assert np.all(out == 0.0)
 
@@ -255,7 +251,7 @@ def test_step_hand_expanded_two_layers():
     r = de.DeepReservoir(input_weights=w_in, inter_layer_weights=(w2,),
                          recurrent_weights=(w_hat, w_hat), params=p)
     u = np.array([1.5])
-    out = de.step(r, de.zero_state(p), u)
+    out = de.step(r, np.zeros((2, 2)), u)
     np.testing.assert_allclose(out[0], a * (w_in @ u), rtol=1e-15)
     np.testing.assert_allclose(out[1], a * a * (w2 @ w_in @ u), rtol=1e-15)
 
@@ -270,14 +266,11 @@ def test_step_dimension_errors(small_reservoir):
 # ------------------------------------------------------------------------ run
 
 def test_run_single_step(small_reservoir):
-    traj = de.run(small_reservoir, np.array([0.7]))
-    assert traj.num_steps == 1
-    assert traj.states.shape == (1, 3, 6)
+    assert de.run(small_reservoir, np.array([0.7])).shape == (1, 3, 6)
 
 
 def test_run_zero_inputs_zero_trajectory(small_reservoir):
-    traj = de.run(small_reservoir, np.zeros(20))
-    assert np.all(traj.states == 0.0)
+    assert np.all(de.run(small_reservoir, np.zeros(20)) == 0.0)
 
 
 def test_run_rejects_empty(small_reservoir):
@@ -293,7 +286,7 @@ RUN_VS_STEP_REL = 1e-12
 def _stepped(r, u):
     """Trajectory by repeated ``step``, the sequential oracle of ``run``."""
     out = np.empty((len(u), r.params.num_layers, r.params.units_per_layer))
-    state = de.zero_state(r.params)
+    state = np.zeros(out.shape[1:])
     for t, u_t in enumerate(u):
         state = out[t] = de.step(r, state, u_t)
     return out
@@ -313,7 +306,7 @@ def test_run_matches_manual_stepping(small_reservoir, small_params, rng):
     ]
     for r in reservoirs:
         u = rng.uniform(-1, 1, (17, r.params.input_dim))
-        _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+        _assert_layers_close(de.run(r, u), _stepped(r, u))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 4, 15, 16, 17, 1000, 1001])
@@ -324,7 +317,7 @@ def test_run_matches_step_across_chunk_shapes(small_params, input_dim, steps):
     # last chunks and chunks that divide the steps
     r = de.init_reservoir(dataclasses.replace(small_params, input_dim=input_dim, seed=steps))
     u = np.random.default_rng(steps).uniform(-1, 1, (steps, input_dim))
-    _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+    _assert_layers_close(de.run(r, u), _stepped(r, u))
 
 
 @pytest.mark.parametrize("steps", [1, 3, 16, 17, 65])
@@ -334,7 +327,7 @@ def test_run_matches_step_when_units_exceed_steps(steps):
     r = de.init_reservoir(de.HyperParams(2, 64, leak_rate=0.9, spectral_radius_target=0.7,
                                          seed=steps))
     u = np.random.default_rng(steps).uniform(-1, 1, steps)
-    _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+    _assert_layers_close(de.run(r, u), _stepped(r, u))
 
 
 @pytest.mark.parametrize("steps, b", [(1, 1), (5, 1), (5, 2), (5, 4), (5, 5), (5, 8),
@@ -372,7 +365,7 @@ def test_run_matches_step_property(layers, units, steps, seed):
     p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9, seed=seed)
     r = de.init_reservoir(p)
     u = np.random.default_rng(seed).uniform(-1, 1, steps)
-    _assert_layers_close(de.run(r, u).states, _stepped(r, u))
+    _assert_layers_close(de.run(r, u), _stepped(r, u))
 
 
 @settings(max_examples=30, deadline=None)
@@ -385,7 +378,7 @@ def test_run_equals_streamed_layers_bit_for_bit(layers, units, steps, seed):
     # and solved into arrays of their own, they have the same bits
     p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9, seed=seed)
     u = np.random.default_rng(seed).uniform(-1, 1, (steps, 1))
-    states = de.run(de.init_reservoir(p), u).states
+    states = de.run(de.init_reservoir(p), u)
     built = map(lambda layer: rc._layer_weights(p, layer), range(1, layers + 1))
     streamed = list(rc._solve_layers(built, u, p.leak_rate))
     assert len(streamed) == layers
@@ -395,12 +388,17 @@ def test_run_equals_streamed_layers_bit_for_bit(layers, units, steps, seed):
 
 
 def test_concatenated_layout(small_reservoir, rng):
-    u = rng.uniform(-1, 1, 5)
-    traj = de.run(small_reservoir, u)
-    flat = traj.concatenated
-    assert flat.shape == (5, 18)
-    np.testing.assert_array_equal(flat[:, :6], traj.states[:, 0, :])
-    np.testing.assert_array_equal(flat[:, 12:], traj.states[:, 2, :])
+    # (steps, layers, units), read-only; reshape(steps, -1) puts layer i in
+    # column block i, the layout a readout over all layers reads
+    states = de.run(small_reservoir, rng.uniform(-1, 1, 5))
+    assert isinstance(states, np.ndarray)
+    assert states.shape == (5, 3, 6)
+    with pytest.raises(ValueError):
+        states[0, 0, 0] = 1.0
+    concatenated = states.reshape(5, -1)
+    assert concatenated.shape == (5, 18)
+    for i in range(3):
+        np.testing.assert_array_equal(concatenated[:, 6 * i:6 * (i + 1)], states[:, i, :])
 
 
 def test_causality(small_reservoir, rng):
@@ -409,8 +407,8 @@ def test_causality(small_reservoir, rng):
     v[20] += 0.5
     a = de.run(small_reservoir, u)
     b = de.run(small_reservoir, v)
-    assert np.array_equal(a.states[:20], b.states[:20])
-    assert not np.array_equal(a.states[20], b.states[20])
+    assert np.array_equal(a[:20], b[:20])
+    assert not np.array_equal(a[20], b[20])
 
 
 @settings(max_examples=20, deadline=None)
@@ -419,8 +417,8 @@ def test_linear_homogeneity(scale, seed):
     p = de.HyperParams(2, 4, leak_rate=0.7, spectral_radius_target=0.9, seed=17)
     r = de.init_reservoir(p)
     u = np.random.default_rng(seed).uniform(-1, 1, 25)
-    base = de.run(r, u).states
-    scaled = de.run(r, scale * u).states
+    base = de.run(r, u)
+    scaled = de.run(r, scale * u)
     np.testing.assert_allclose(scaled, scale * base,
                                rtol=1e-12, atol=1e-12 * max(1.0, abs(scale)))
 
@@ -430,6 +428,6 @@ def test_linear_superposition(rng):
     r = de.init_reservoir(p)
     u = rng.uniform(-1, 1, 40)
     v = rng.uniform(-1, 1, 40)
-    left = de.run(r, u + v).states
-    right = de.run(r, u).states + de.run(r, v).states
+    left = de.run(r, u + v)
+    right = de.run(r, u) + de.run(r, v)
     np.testing.assert_allclose(left, right, atol=1e-10)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import deepesn as de
-from deepesn.reservoir import StateTrajectory
 from deepesn.spectral import SpectrumReport
 
 
@@ -106,7 +105,7 @@ def test_layer_spectra_zero_unit_diagnostics():
     states = np.zeros((40, 2, 3))
     states[:, 0, :] = np.sin(0.5 * np.arange(40))[:, None]
     # layer 2 stays identically zero: its units skip normalization
-    report = de.layer_spectra([StateTrajectory(states=states)], washout=4)
+    report = de.layer_spectra([states], washout=4)
     assert report.zero_units == 3
     assert np.all(report.per_layer[1] == 0.0)
     assert np.isfinite(report.per_layer).all()
@@ -123,7 +122,7 @@ def test_layer_spectra_holds_one_guess_at_a_time():
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            de.layer_spectra((StateTrajectory(states=rng.standard_normal((steps, layers, units)))
+            de.layer_spectra((rng.standard_normal((steps, layers, units))
                               for _ in range(guesses)), washout=100)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -138,12 +137,11 @@ def test_layer_spectra_errors():
     with pytest.raises(ValueError):
         de.layer_spectra([], washout=0)
     with pytest.raises(ValueError):
-        de.layer_spectra([StateTrajectory(states=states)], washout=9)
+        de.layer_spectra([states], washout=9)
     with pytest.raises(ValueError):
-        de.layer_spectra([StateTrajectory(states=states)], washout=-1)
+        de.layer_spectra([states], washout=-1)
     with pytest.raises(ValueError):
-        de.layer_spectra([StateTrajectory(states=states),
-                          StateTrajectory(states=np.zeros((10, 2, 2)))], washout=0)
+        de.layer_spectra([states, np.zeros((10, 2, 2))], washout=0)
 
 
 def test_no_harmonic_distortion_linear_reservoir():
@@ -154,8 +152,7 @@ def test_no_harmonic_distortion_linear_reservoir():
     t = np.arange(1, 1537)
     k, window = 24, 512
     signal = np.sin(2 * np.pi * k * t / window)
-    traj = de.run(r, signal)
-    washed = traj.states[-window:]
+    washed = de.run(r, signal)[-window:]
     for layer in range(2):
         for unit in range(10):
             mags = de.magnitude_spectrum(washed[:, layer, unit])

@@ -82,7 +82,7 @@ def test_gains_give_the_steady_state_of_a_run():
     # state is Im(H_i(phi) e^(i phi t))
     res = de.init_reservoir(de.HyperParams(3, 20, 1, 1.0, 0.9, 0.7, "linear", 5))
     phi, t = 0.63, np.arange(1, 601)
-    states = de.run(res, np.sin(phi * t)).states[-50:]
+    states = de.run(res, np.sin(phi * t))[-50:]
     gains = layer_gains(res, [phi])[:, 0]
     steady = np.imag(gains[None] * np.exp(1j * phi * t[-50:])[:, None, None])
     for layer in range(3):
