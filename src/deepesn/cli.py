@@ -36,10 +36,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _native
+from ._native import _physical_memory
 from .flat import verify_equivalence
 from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, generate_mso,
                   grid_search)
-from .reservoir import HyperParams, _layer_weights, _solve_layers, init_reservoir
+from .reservoir import (HyperParams, _guess_bytes, _layer_weights, _solve_layers,
+                        init_reservoir)
 from .spectral import SpectrumReport, SpikeMetrics, _guess_curves, _report, spike_metrics
 
 _RESULT_COLUMNS = (
@@ -79,20 +81,11 @@ def _check_run(args: argparse.Namespace) -> None:
             _require_in_domain(flag, value, candidates)
 
 
-def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _require_flat_memory(dim: int) -> None:
-    """``verify-flat``'s dense ``dim`` x ``dim`` flat matrix must fit in half the memory."""
-    need, memory = 8 * dim * dim, _physical_memory()
+def _require_half_memory(what: str, need: int) -> None:
+    """``what``, ``need`` bytes, must fit in half of the physical memory."""
+    memory = _physical_memory()
     if memory is not None and need > memory // 2:
-        raise ValueError(f"verify-flat builds a dense {dim}x{dim} flat matrix of "
-                         f"{need / 2 ** 30:.1f} GiB, more than half of the "
+        raise ValueError(f"{what} needs {need / 2 ** 30:.1f} GiB, more than half of the "
                          f"{memory / 2 ** 30:.1f} GiB of physical memory")
 
 
@@ -157,13 +150,17 @@ def run_experiment(args: argparse.Namespace) -> int:
 
     The arguments are written to ``config.echo``, which ``--config`` replays.
     The task and every model's grid are built, and so checked, before anything
-    is written.
+    is written, and so is the rule that one guess (``_guess_bytes``) fits in
+    half the physical memory.
     """
     _check_run(args)
     task = MsoTask(n=args.task)
     models = ("deep", "shallow") if args.model == "both" else (args.model,)
     dims = {model: _model_dims(args, model) for model in models}
     grids = {model: _grid_spec(args, *dims[model]) for model in models}
+    for model, (layers, units) in dims.items():
+        _require_half_memory(f"one {layers}x{units} guess of the {model} model",
+                             _guess_bytes(layers, units, task.length))
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -302,6 +299,10 @@ def _spectra(args: argparse.Namespace,
     only the per-layer curves, which are added in guess order, so the files
     are the same for any thread count.
     """
+    # two layers' states and the scan's matrices, or one layer's states and spectra
+    guess_bytes = _guess_bytes(2, params.units_per_layer, args.length)
+    _require_half_memory(f"one {params.num_layers}x{params.units_per_layer} spectrum guess",
+                         guess_bytes)
     u, phis = _mso_signal(args.task, args.length)
 
     def curves(seed: int):
@@ -311,7 +312,7 @@ def _spectra(args: argparse.Namespace,
         return _guess_curves(_solve_layers(layers, u[:, None], guess.leak_rate),
                              args.washout)
 
-    with _native.guess_map(args.guesses) as map_guesses:
+    with _native.guess_map(args.guesses, guess_bytes) as map_guesses:
         report = _report(map_guesses(curves, range(params.seed, params.seed + args.guesses)),
                          args.washout, params)
     return report, spike_metrics(report, phis)
@@ -464,7 +465,8 @@ def _spectrum(args: argparse.Namespace) -> int:
 
 def _verify_flat(args: argparse.Namespace) -> int:
     _require_driven("verify-flat", args.scale_in)  # zero states: every gap is 0, a pass
-    _require_flat_memory(args.layers * args.units)
+    dim = args.layers * args.units
+    _require_half_memory(f"verify-flat's dense {dim}x{dim} flat matrix", 8 * dim * dim)
     params = _analysis_params(args)
     record = _equivalence(args.task, params, steps=args.steps, rel_tol=args.tol)
     os.makedirs(args.out, exist_ok=True)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _native
 from .readout import _nrmse_rows, fit_ridge_sweep, nrmse
-from .reservoir import HyperParams, _is_int, init_reservoir, run
+from .reservoir import HyperParams, _guess_bytes, _is_int, _layer_weights, _solve_layers
 
 #: Canonical MSO frequencies (radians per step); MSO-n uses the first n.
 CANONICAL_PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97,
@@ -257,11 +257,16 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
                     leak: float, rho: float, seed: int) -> list:
     """One guess at every input scale: per scale, its (val, test) NRMSE rows or the exception.
 
-    The guess runs once, at unit scale, for all scales: its states X are
-    exactly linear in the input scale, layer i scaling as s**i, so a failed
-    run fails every scale. At scale s > 0 the states are s X D, D weighting
-    layer i by s**(i-1), and the ridge fit of s X D at lambda predicts what
-    the fit of X D at lambda / s**2 predicts. So the scales that share D
+    The guess runs once, at unit scale, for all scales: ``_solve_layers``
+    solves it into one ``(steps, layers, units)`` array, building each
+    layer's drive and effective matrix with ``_layer_weights`` once the
+    layer below is solved, so the guess holds its states, one layer's
+    weights and the scan's buffers (``_guess_bytes``), and no
+    ``DeepReservoir``. The states X are exactly linear in the input scale,
+    layer i scaling as s**i, so a failed run fails every scale. At scale
+    s > 0 the states are s X D, D weighting layer i by s**(i-1), and the
+    ridge fit of s X D at lambda predicts what the fit of X D at
+    lambda / s**2 predicts. So the scales that share D
     share one fit over their concatenated lambda / s**2: one layer has one
     group (D = 1), a deep guess one group per scale. At scale 0, and wherever
     lambda > 0 and lambda / s**2 overflows, the weights vanish and the
@@ -278,7 +283,11 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
         try:
             params = HyperParams(grid.num_layers, grid.units_per_layer, leak_rate=leak,
                                  spectral_radius_target=rho, seed=seed)
-            states = run(init_reservoir(params), u)
+            states = np.empty((len(u), grid.num_layers, grid.units_per_layer))
+            weights = map(functools.partial(_layer_weights, params),
+                          range(1, grid.num_layers + 1))
+            for _ in _solve_layers(weights, u[:, None], leak, states):
+                pass
         except Exception as exc:  # recorded per scale, excluded from selection
             return [exc] * len(scales)
         layers = np.arange(grid.num_layers)
@@ -347,10 +356,12 @@ def grid_search(task: MsoTask, grid: GridSpec,
     records are in canonical (scale, leak, radius, lambda) order and the
     selection is the first minimum of the mean validation NRMSE. Failed
     combinations are recorded with an error marker and excluded from
-    selection. Each pair's guesses run on ``_native.guess_map``.
+    selection. Each pair's guesses run on ``_native.guess_map``, as many at
+    once as the cores and memory allow.
     """
     by_pair = []
-    with _native.guess_map(grid.guesses) as map_guesses:
+    guess_bytes = _guess_bytes(grid.num_layers, grid.units_per_layer, task.length)
+    with _native.guess_map(grid.guesses, guess_bytes) as map_guesses:
         for leak in grid.leak_rates:
             for rho in grid.spectral_radii:
                 by_pair.append(_evaluate_pair(task, grid, leak, rho, map_guesses))

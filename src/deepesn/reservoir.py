@@ -183,16 +183,17 @@ def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
     return rho_raw, _readonly(eigvals / rho_raw)
 
 
-def _scaled_recurrent(seed: int, layer: int, n_units: int, leak_rate: float,
-                      rho_target: float) -> np.ndarray:
-    """Recurrent matrix whose effective matrix has spectral radius rho_target.
+def _scaled_recurrent(params: HyperParams, layer: int) -> np.ndarray:
+    """Layer ``layer``'s (1-based) recurrent matrix What, writable.
 
+    Its effective matrix has spectral radius ``spectral_radius_target``.
     Rescaling acts on the effective matrix: with M = (1-a) I + a base,
     the result is What = (M * rho_target / rho(M) - (1-a) I) / a. The
     spectral radius of M is evaluated from the cached base eigenvalues, and
     every step works in place on the redrawn matrix.
     """
-    a = leak_rate
+    seed, n_units, a = int(params.seed), params.units_per_layer, params.leak_rate
+    rho_target = params.spectral_radius_target
     for attempt in range(MAX_DRAW_ATTEMPTS):
         cached = _recurrent_base(seed, layer, n_units, attempt)
         if cached is None:
@@ -212,22 +213,32 @@ def _scaled_recurrent(seed: int, layer: int, n_units: int, leak_rate: float,
     raise UnscalableMatrixError(
         f"layer {layer}: effective matrix spectral radius below "
         f"{MIN_SCALABLE_RADIUS} for {MAX_DRAW_ATTEMPTS} consecutive draws "
-        f"(seed={seed}, leak_rate={leak_rate})"
+        f"(seed={seed}, leak_rate={a})"
     )
 
 
-def _layer_weights(params: HyperParams, layer: int) -> tuple[np.ndarray, np.ndarray]:
-    """Layer ``layer``'s (1-based) drive and recurrent matrices, read-only.
+def _drive(params: HyperParams, layer: int) -> np.ndarray:
+    """Layer ``layer``'s (1-based) drive matrix, read-only.
 
     The drive of layer 1 is the input matrix, that of a higher layer its
-    inter-layer matrix; each is a unit-scale draw times ``input_scale``. The
-    recurrent matrix is rescaled by ``_scaled_recurrent``.
+    inter-layer matrix; each is a unit-scale draw times ``input_scale``.
     """
     seed, n = int(params.seed), params.units_per_layer
     raw = _input_raw(seed, n, params.input_dim) if layer == 1 else _inter_raw(seed, layer, n)
-    recurrent = _scaled_recurrent(seed, layer, n, params.leak_rate,
-                                  params.spectral_radius_target)
-    return _readonly(params.input_scale * raw), _readonly(recurrent)
+    return _readonly(params.input_scale * raw)
+
+
+def _layer_weights(params: HyperParams, layer: int) -> tuple[np.ndarray, np.ndarray]:
+    """Layer ``layer``'s (1-based) drive and effective matrix M, read-only.
+
+    M is built in the buffer that holds What, so no guess holds both: with
+    leak ``a``, What is scaled by ``a`` and ``1 - a`` added on its diagonal
+    in place, the same steps and bits as ``effective_matrix(What, a)``.
+    """
+    a, m = params.leak_rate, _scaled_recurrent(params, layer)
+    m *= a
+    m.flat[:: m.shape[0] + 1] += 1.0 - a
+    return _drive(params, layer), _readonly(m)
 
 
 def init_reservoir(params: HyperParams) -> DeepReservoir:
@@ -238,12 +249,15 @@ def init_reservoir(params: HyperParams) -> DeepReservoir:
     so the substreams are scale-independent). Recurrent weights are drawn,
     normalized, and rescaled so that every layer's effective matrix has
     spectral radius exactly ``spectral_radius_target``. No bias terms.
-    Every layer comes from ``_layer_weights``, which builds one on its own.
+    Each layer's drive comes from ``_drive`` and its What from
+    ``_scaled_recurrent``, the two ``_layer_weights`` builds a layer from.
     """
-    drives, recurrent = zip(*(_layer_weights(params, layer)
-                              for layer in range(1, params.num_layers + 1)))
+    layers = range(1, params.num_layers + 1)
+    drives = tuple(_drive(params, layer) for layer in layers)
     return DeepReservoir(input_weights=drives[0], inter_layer_weights=drives[1:],
-                         recurrent_weights=recurrent, params=params)
+                         recurrent_weights=tuple(_readonly(_scaled_recurrent(params, layer))
+                                                 for layer in layers),
+                         params=params)
 
 
 def step(res: DeepReservoir, state: np.ndarray, input_vector: np.ndarray) -> np.ndarray:
@@ -283,14 +297,16 @@ def _as_input_matrix(inputs, input_dim: int) -> np.ndarray:
 
 
 def _matrix_power(m: np.ndarray, e: int) -> np.ndarray:
-    """``m ** e`` for ``e >= 1`` by left-to-right repeated squaring in two buffers."""
-    r, buf = m.copy(), np.empty_like(m)
+    """``m ** e`` for ``e >= 1`` by left-to-right repeated squaring; ``m`` is only read.
+
+    Besides ``m`` it holds at most two buffers, the power so far and the
+    next, and one at ``e = 2``. At ``e = 1`` it returns ``m`` itself.
+    """
+    r = m
     for bit in bin(e)[3:]:
-        np.matmul(r, r, out=buf)
+        r = r @ r
         if bit == "1":
-            np.matmul(buf, m, out=r)
-        else:
-            r, buf = buf, r
+            r = r @ m
     return r
 
 
@@ -333,6 +349,23 @@ def _chunk_length(steps: int, units: int) -> int:
     return min(range(1, last + 1), key=lambda b: _scan_cost(steps, units, b))
 
 
+def _guess_bytes(layers: int, units: int, steps: int) -> int:
+    """Estimated peak bytes of one guess of ``layers`` x ``units`` over ``steps`` inputs.
+
+    A guess holds its ``(steps, layers, units)`` states. While a layer is
+    solved it also holds k N x N matrices (N = ``units``): M and
+    ``_matrix_power``'s buffers, k = 3 at chunk length b >= 3 and 2 at
+    b = 2. k is 2 at b = 1 too: a layer's M and its drive are held together
+    once built, and on a cold weight cache a draw and ``dgeev``'s copy of
+    it. While it is scored it holds the readout's rows: the scored range
+    times the layer weights and the factorization's copy of it, counted as
+    one more block the size of the states. The sum bounds both phases
+    (tracemalloc peaks, ``tests/test_mso.py``).
+    """
+    k = 3 if _chunk_length(steps, units) >= 3 else 2
+    return 8 * (2 * steps * layers * units + k * units * units)
+
+
 def _linear_scan(x: np.ndarray, m: np.ndarray, b: int) -> None:
     """Solve ``x_t = M x_{t-1} + d_t`` from ``x_{-1} = 0`` in place; ``x`` holds d.
 
@@ -365,24 +398,27 @@ def _solve_layers(layers: Iterable[tuple[np.ndarray, np.ndarray]], u: np.ndarray
                   leak_rate: float, out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
     """Each layer's ``(steps, units)`` states, solved from the layer below.
 
-    ``layers`` gives each layer's ``(drive, recurrent)`` pair, layer 1 first
-    (as ``_layer_weights`` builds them); layer 1 is driven by the
-    ``(steps, input_dim)`` matrix ``u``. A layer's drive is one matrix
-    product over all steps, scaled by the leak rate, and its recurrence
-    ``x_t = M x_{t-1} + a d_t`` is solved in place with a blocked scan.
-    Layer ``i``'s states go into ``out[:, i]`` when ``out`` is given and
-    into a new array otherwise. Only the layer being solved and the one
-    driving it are held here, and each layer's weights are dropped once it
-    is solved, so a lazy ``layers`` keeps memory independent of depth.
+    ``layers`` gives each layer's ``(drive, M)`` pair, M its effective
+    matrix, layer 1 first (as ``_layer_weights`` builds them); layer 1 is
+    driven by the ``(steps, input_dim)`` matrix ``u``. A layer's drive is one
+    matrix product over all steps, scaled by the leak rate, and its
+    recurrence ``x_t = M x_{t-1} + a d_t`` is solved in place with a blocked
+    scan that reads M and copies nothing of it. Layer ``i``'s states go into
+    ``out[:, i]`` when ``out`` is given and into a new array otherwise. Only
+    the layer being solved and the one driving it are held here; a layer's
+    drive is dropped once its product is taken, before the scan, and M once
+    the layer is solved, so a lazy ``layers`` keeps memory independent of
+    depth.
     """
     src, chunk, i = u, None, 0
-    for w_drive, w_rec in layers:  # not enumerate: its reused tuple would keep the pair
+    for w_drive, m in layers:  # not enumerate: its reused tuple would keep the pair
         x = np.matmul(src, w_drive.T, out=None if out is None else out[:, i])
+        del w_drive
         x *= leak_rate
         if chunk is None:
-            chunk = _chunk_length(u.shape[0], w_rec.shape[0])
-        _linear_scan(x, effective_matrix(w_rec, leak_rate), chunk)
-        del w_drive, w_rec
+            chunk = _chunk_length(u.shape[0], m.shape[0])
+        _linear_scan(x, m, chunk)
+        del m
         src, i = x, i + 1
         yield x
 
@@ -396,15 +432,17 @@ def run(res: DeepReservoir, inputs) -> np.ndarray:
     input ``t``, and ``reshape(steps, -1)`` concatenates the layers, layer 1
     first.
 
-    Layers are swept one at a time by ``_solve_layers``: layer ``i - 1``'s
-    whole trajectory is known before layer ``i`` starts, because it only
-    feeds forward. The result equals repeated ``step`` up to rounding, not
+    Layers are swept one at a time by ``_solve_layers``, each from its
+    effective matrix, built when the layer starts: layer ``i - 1``'s whole
+    trajectory is known before layer ``i`` starts, because it only feeds
+    forward. The result equals repeated ``step`` up to rounding, not
     bit for bit: the products are summed in another order.
     """
     p = res.params
     u = _as_input_matrix(inputs, p.input_dim)
     out = np.empty((u.shape[0], p.num_layers, p.units_per_layer))
-    layers = zip((res.input_weights,) + res.inter_layer_weights, res.recurrent_weights)
+    layers = ((drive, effective_matrix(w, p.leak_rate)) for drive, w in
+              zip((res.input_weights,) + res.inter_layer_weights, res.recurrent_weights))
     for _ in _solve_layers(layers, u, p.leak_rate, out):
         pass
     return _readonly(out)

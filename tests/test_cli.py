@@ -268,6 +268,38 @@ def test_flat_check_runs_within_half_the_memory(tmp_path, monkeypatch):
     assert json.loads((out / "equivalence.txt").read_text())["pass"] is True
 
 
+GUESS_ARGV = {
+    # one 2x5 guess over 1000 steps; spectrum counts two layers' states whatever the depth
+    "run": (["run", "--single", "--task", "mso5", "--scale-in", "1", "--leak", "0.9",
+             "--rho", "0.7", "--layers", "2", "--units", "5", "--guesses", "1"],
+            rc._guess_bytes(2, 5, 1000)),
+    "spectrum": (["spectrum", "--layers", "3", "--units", "5", "--guesses", "1"],
+                 rc._guess_bytes(2, 5, 1000)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GUESS_ARGV))
+def test_guess_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch, command):
+    argv, need = GUESS_ARGV[command]
+    monkeypatch.setattr(cli_mod, "grid_search", refuse)
+    monkeypatch.setattr(cli_mod, "_solve_layers", refuse)
+    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * need - 1)
+    out = tmp_path / command
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "guess" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(GUESS_ARGV))
+def test_guess_runs_within_half_the_memory(tmp_path, monkeypatch, command):
+    argv, need = GUESS_ARGV[command]
+    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * need)
+    monkeypatch.setattr(_native, "_physical_memory", lambda: 2 * need)
+    out = tmp_path / command
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out / "config.echo").exists()
+
+
 def test_run_has_no_worker_count(tmp_path, capsys):
     # the sweep's thread count follows the usable cores (taskset), not a flag
     assert main(["run", "--task", "mso5", "--workers", "2",

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -279,6 +280,34 @@ def test_linear_guess_memory_is_states_plus_a_few_ranges():
     assert peak < states + 5 * fit_range
 
 
+@pytest.mark.parametrize("steps,chunk,bound", [(1000, 4, 4.2), (400, 2, 3.0)])
+def test_shallow_guess_holds_its_states_m_and_the_scan_buffers(steps, chunk, bound):
+    # a 1x1000 guess holds its states, its effective matrix M (built in the
+    # buffer of its recurrent draw, not beside it) and _matrix_power's
+    # buffers: two beside M at b = 4, one at b = 2. At 1000 steps that is
+    # 4.0 N x N, at 400 steps 2.6 (What beside M and a copy of M read 5.0
+    # and 4.4). The memory rule's estimate bounds both.
+    n, q = 1000, steps // 10
+    assert rc._chunk_length(steps, n) == chunk
+    task = de.MsoTask(5)
+    u, targets = _signal_and_targets(task)
+    split = de.SplitSpec(train=(1, 4 * q), washout=q, validation=(4 * q + 1, 7 * q),
+                         test=(7 * q + 1, steps))
+    grid = de.GridSpec(1, n, leak_rates=(1.0,), spectral_radii=(0.7,), guesses=1)
+    evaluate = functools.partial(mso._evaluate_guess, u[:steps], targets[:steps], split,
+                                 grid, 1.0, 0.7)
+    evaluate(42)  # fills the eigenvalue cache
+    tracemalloc.start()
+    try:
+        scores = evaluate(42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(s, Exception) for s in scores)
+    assert peak < bound * 8 * n * n
+    assert peak < rc._guess_bytes(1, n, steps)
+
+
 def test_one_layer_guess_scores_every_scale_from_one_fit():
     # the shared fit of the unit-scale states against a fit of s X per scale:
     # scale 0 predicts zero and scale 1 is the same fit, so both match bit for
@@ -534,22 +563,21 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
     # seed 9 fails to initialise at rho 0.9, which fails every scale of that
     # pair; seed 8 gets one state of 1e308 inside the washout, finite at scale
     # 0.1 but not at scale 10, where it is the first failure in guess order
-    real_init, real_run = mso.init_reservoir, mso.run
+    real_weights, real_solve, building = mso._layer_weights, mso._solve_layers, threading.local()
 
-    def init_reservoir(params):
+    def layer_weights(params, layer):
         if params.seed == 9 and params.spectral_radius_target == 0.9:
             raise ValueError("injected failure")
-        return real_init(params)
+        building.seed = params.seed  # a guess builds its layers on its own thread
+        return real_weights(params, layer)
 
-    def run(res, u):
-        states = real_run(res, u)
-        if res.params.seed == 8:
-            states = states.copy()
-            states[0, 0, 0] = 1e308
-        return states
+    def solve_layers(layers, u, leak_rate, out):
+        yield from real_solve(layers, u, leak_rate, out)
+        if building.seed == 8:
+            out[0, 0, 0] = 1e308
 
-    monkeypatch.setattr(mso, "init_reservoir", init_reservoir)
-    monkeypatch.setattr(mso, "run", run)
+    monkeypatch.setattr(mso, "_layer_weights", layer_weights)
+    monkeypatch.setattr(mso, "_solve_layers", solve_layers)
     grid = dataclasses.replace(TINY_GRID, input_scales=(0.1, 10.0), guesses=3)
     serial = _sweep(monkeypatch, 1, grid)
     parallel = _sweep(monkeypatch, 2, grid)
@@ -688,9 +716,8 @@ def test_a_weight_cache_warmed_at_two_blas_threads_keeps_the_records(monkeypatch
     assert repr(warm.records) == repr(cold.records)
 
 
-def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
-    if _native.threads() is None:
-        pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
+def _record_pools(monkeypatch) -> list:
+    """The thread count of every pool ``guess_map`` makes from now on."""
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -699,6 +726,13 @@ def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(_native, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
+    if _native.threads() is None:
+        pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
+    pools = _record_pools(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     capped = de.grid_search(de.MsoTask(5), TINY_GRID)       # at most one per guess
     assert pools == [TINY_GRID.guesses]
@@ -706,6 +740,35 @@ def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
     single = de.grid_search(de.MsoTask(5), TINY_GRID)       # as under taskset -c 0
     assert pools == [TINY_GRID.guesses, 1]
     assert repr(capped.records) == repr(single.records)
+
+
+def test_grid_search_takes_no_more_threads_than_half_the_memory_holds(monkeypatch):
+    if _native.threads() is None:
+        pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    grid = dataclasses.replace(TINY_GRID, guesses=8)
+    guess = rc._guess_bytes(grid.num_layers, grid.units_per_layer, de.MsoTask(5).length)
+    records = []
+    for held in (8, 3, 1, 0):  # guesses half the memory holds; one thread at least
+        monkeypatch.setattr(_native, "_physical_memory", lambda held=held: 2 * held * guess)
+        records.append(repr(de.grid_search(de.MsoTask(5), grid).records))
+    assert pools == [8, 3, 1, 1]
+    assert records == records[:1] * 4
+
+
+@pytest.mark.parametrize("layers,units", [(10, 100), (1, 1000), (2, 100)])
+def test_memory_rule_keeps_a_thread_per_core_on_the_bench_host(monkeypatch, layers, units):
+    # the benchmark's host has 2 cores and 7.8 GiB: its grid guesses (10x100
+    # and 1x1000) and its spectrum guesses (held as 2x100) keep both threads
+    if _native.threads() is None:
+        pytest.skip("without numpy's BLAS thread-count setter every job is serial")
+    pools = _record_pools(monkeypatch)
+    monkeypatch.setattr(_native, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_native, "_physical_memory", lambda: 8019 << 20)
+    with _native.guess_map(10, rc._guess_bytes(layers, units, 1000)):
+        pass
+    assert pools == [2]
 
 
 def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
@@ -728,13 +791,20 @@ def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
 def test_guess_simulates_once_per_distinct_scale(monkeypatch, leak, simulated):
     # a guess serves its two input scales from one unit-scale run; leak 0
     # fails every scale before a run
-    calls, real_run = [], mso.run
+    calls, real_weights, real_solve = [], mso._layer_weights, mso._solve_layers
+    built = []
 
-    def run(res, u):
-        calls.append(res.params.input_scale)
-        return real_run(res, u)
+    def layer_weights(params, layer):
+        built.append(params.input_scale)
+        return real_weights(params, layer)
 
-    monkeypatch.setattr(mso, "run", run)
+    def solve_layers(*args):
+        yield from real_solve(*args)
+        calls.append(built[0])  # the scale of the reservoir just solved
+        built.clear()
+
+    monkeypatch.setattr(mso, "_layer_weights", layer_weights)
+    monkeypatch.setattr(mso, "_solve_layers", solve_layers)
     task = de.MsoTask(5)
     u, targets = _signal_and_targets(task)
     scores = mso._evaluate_guess(u, targets, task.split, TINY_GRID, leak, 0.7, 7)

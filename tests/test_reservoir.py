@@ -387,6 +387,23 @@ def test_run_equals_streamed_layers_bit_for_bit(layers, units, steps, seed):
         assert x.tobytes() == np.ascontiguousarray(states[:, i]).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(layers=st.integers(1, 4), units=st.integers(1, 12), leak=st.floats(0.01, 1.0),
+       rho=st.floats(0.05, 2.0), seed=st.integers(0, 2 ** 64 - 1))
+def test_layer_weights_give_init_reservoirs_effective_matrices_bit_for_bit(
+        layers, units, leak, rho, seed):
+    # _layer_weights turns What into M in What's own buffer; that is the same
+    # arithmetic as effective_matrix of init_reservoir's What
+    p = de.HyperParams(layers, units, leak_rate=leak, spectral_radius_target=rho, seed=seed)
+    res = de.init_reservoir(p)
+    drives = (res.input_weights,) + res.inter_layer_weights
+    for i in range(layers):
+        drive, m = rc._layer_weights(p, i + 1)
+        assert not (drive.flags.writeable or m.flags.writeable)
+        assert drive.tobytes() == drives[i].tobytes()
+        assert m.tobytes() == de.effective_matrix(res.recurrent_weights[i], leak).tobytes()
+
+
 def test_concatenated_layout(small_reservoir, rng):
     # (steps, layers, units), read-only; reshape(steps, -1) puts layer i in
     # column block i, the layout a readout over all layers reads
