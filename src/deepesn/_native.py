@@ -4,11 +4,12 @@ Three settings outlive a call, and this module owns each: numpy's OpenBLAS
 thread count (``one_thread``), glibc's malloc thresholds (``_pooled_heap``)
 and the worker threads (``guess_map``). One rule holds for every command: a
 job's guesses run on one thread per core the process may run on (``taskset``
-sets which), at most one per guess and at most as many as half the
-physical memory holds guesses, and its numerical work runs with OpenBLAS
-at one thread, so its files are the same for any core count and any
-``OPENBLAS_NUM_THREADS``. Each thread holds one guess, so peak memory grows
-with the thread count; ``taskset -c 0`` gives the low-memory run.
+sets which), at most one per guess, and its numerical work runs with
+OpenBLAS at one thread, so its files are the same for any core count and
+any ``OPENBLAS_NUM_THREADS``. Each thread holds one guess, so peak memory
+grows with the thread count; ``taskset -c 0`` gives the low-memory run.
+A command refuses work whose one guess, or one dense matrix, needs more
+than half the physical memory (``require_half_memory``).
 
 numpy 2 wheels link scipy-openblas, whose symbols carry a ``scipy_`` prefix
 and, for the 64-bit-integer interface, a ``64_`` suffix. ``np.linalg.eigvals``
@@ -120,14 +121,11 @@ def one_thread() -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def guess_map(guesses: int, guess_bytes: int) -> Iterator[Callable]:
+def guess_map(guesses: int) -> Iterator[Callable]:
     """The map over a job's guesses: one thread per usable core, at most ``guesses``.
 
     A job is one (leak, radius) pair of ``grid_search``, or the guesses of the
-    CLI's ``spectrum``. Each thread holds one guess, which peaks at about
-    ``guess_bytes`` (``reservoir._guess_bytes``), so the pool takes no more
-    threads than half the physical memory holds such guesses, and at least
-    one.
+    CLI's ``spectrum``.
 
     The threads run with numpy's OpenBLAS at one thread (its own threads
     would compete with the pool's for the cores, and its results depend on
@@ -139,9 +137,6 @@ def guess_map(guesses: int, guess_bytes: int) -> Iterator[Callable]:
         yield map
         return
     workers = min(_usable_cores(), guesses)
-    memory = _physical_memory()
-    if memory is not None:
-        workers = max(1, min(workers, memory // 2 // guess_bytes))
     with (one_thread(), ThreadPoolExecutor(workers) as pool,
           _pooled_heap(pool, workers)):
         yield pool.map
@@ -193,6 +188,17 @@ def _physical_memory() -> Optional[int]:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def require_half_memory(what: str, need: int) -> None:
+    """Raise ``ValueError`` when ``what``, ``need`` bytes, exceeds half the physical memory.
+
+    Where the memory cannot be told, nothing is refused.
+    """
+    memory = _physical_memory()
+    if memory is not None and need > memory // 2:
+        raise ValueError(f"{what} needs {need / 2 ** 30:.1f} GiB, more than half of the "
+                         f"{memory / 2 ** 30:.1f} GiB of physical memory")
 
 
 def _usable_cores() -> int:

@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _native
-from ._native import _physical_memory
 from .flat import verify_equivalence
 from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, generate_mso,
                   grid_search)
@@ -79,14 +78,6 @@ def _check_run(args: argparse.Namespace) -> None:
     if not args.allow_custom:
         for flag, value, candidates in given:
             _require_in_domain(flag, value, candidates)
-
-
-def _require_half_memory(what: str, need: int) -> None:
-    """``what``, ``need`` bytes, must fit in half of the physical memory."""
-    memory = _physical_memory()
-    if memory is not None and need > memory // 2:
-        raise ValueError(f"{what} needs {need / 2 ** 30:.1f} GiB, more than half of the "
-                         f"{memory / 2 ** 30:.1f} GiB of physical memory")
 
 
 def _require_analysis_window(washout: int, length: int) -> None:
@@ -159,8 +150,8 @@ def run_experiment(args: argparse.Namespace) -> int:
     dims = {model: _model_dims(args, model) for model in models}
     grids = {model: _grid_spec(args, *dims[model]) for model in models}
     for model, (layers, units) in dims.items():
-        _require_half_memory(f"one {layers}x{units} guess of the {model} model",
-                             _guess_bytes(layers, units, task.length))
+        _native.require_half_memory(f"one {layers}x{units} guess of the {model} model",
+                                    _guess_bytes(layers, units, task.length))
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -300,9 +291,9 @@ def _spectra(args: argparse.Namespace,
     are the same for any thread count.
     """
     # two layers' states and the scan's matrices, or one layer's states and spectra
-    guess_bytes = _guess_bytes(2, params.units_per_layer, args.length)
-    _require_half_memory(f"one {params.num_layers}x{params.units_per_layer} spectrum guess",
-                         guess_bytes)
+    _native.require_half_memory(
+        f"one {params.num_layers}x{params.units_per_layer} spectrum guess",
+        _guess_bytes(2, params.units_per_layer, args.length))
     u, phis = _mso_signal(args.task, args.length)
 
     def curves(seed: int):
@@ -312,7 +303,7 @@ def _spectra(args: argparse.Namespace,
         return _guess_curves(_solve_layers(layers, u[:, None], guess.leak_rate),
                              args.washout)
 
-    with _native.guess_map(args.guesses, guess_bytes) as map_guesses:
+    with _native.guess_map(args.guesses) as map_guesses:
         report = _report(map_guesses(curves, range(params.seed, params.seed + args.guesses)),
                          args.washout, params)
     return report, spike_metrics(report, phis)
@@ -466,7 +457,7 @@ def _spectrum(args: argparse.Namespace) -> int:
 def _verify_flat(args: argparse.Namespace) -> int:
     _require_driven("verify-flat", args.scale_in)  # zero states: every gap is 0, a pass
     dim = args.layers * args.units
-    _require_half_memory(f"verify-flat's dense {dim}x{dim} flat matrix", 8 * dim * dim)
+    _native.require_half_memory(f"verify-flat's dense {dim}x{dim} flat matrix", 8 * dim * dim)
     params = _analysis_params(args)
     record = _equivalence(args.task, params, steps=args.steps, rel_tol=args.tol)
     os.makedirs(args.out, exist_ok=True)

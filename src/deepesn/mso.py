@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _native
 from .readout import _nrmse_rows, fit_ridge_sweep, nrmse
-from .reservoir import HyperParams, _guess_bytes, _is_int, _layer_weights, _solve_layers
+from .reservoir import HyperParams, _is_int, _layer_weights, _solve_layers
 
 #: Canonical MSO frequencies (radians per step); MSO-n uses the first n.
 CANONICAL_PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97,
@@ -356,12 +356,10 @@ def grid_search(task: MsoTask, grid: GridSpec,
     records are in canonical (scale, leak, radius, lambda) order and the
     selection is the first minimum of the mean validation NRMSE. Failed
     combinations are recorded with an error marker and excluded from
-    selection. Each pair's guesses run on ``_native.guess_map``, as many at
-    once as the cores and memory allow.
+    selection. Each pair's guesses run on ``_native.guess_map``.
     """
     by_pair = []
-    guess_bytes = _guess_bytes(grid.num_layers, grid.units_per_layer, task.length)
-    with _native.guess_map(grid.guesses, guess_bytes) as map_guesses:
+    with _native.guess_map(grid.guesses) as map_guesses:
         for leak in grid.leak_rates:
             for rho in grid.spectral_radii:
                 by_pair.append(_evaluate_pair(task, grid, leak, rho, map_guesses))

@@ -109,11 +109,19 @@ class DeepReservoir:
 def effective_matrix(recurrent: np.ndarray, leak_rate: float) -> np.ndarray:
     """The matrix (1-a) I + a What driving a layer's autonomous dynamics.
 
-    Built in one buffer: ``a What`` with ``1 - a`` added on the diagonal.
+    Built in a copy of What by ``_to_effective``.
     """
-    m = leak_rate * np.asarray(recurrent, dtype=float)
-    m.flat[:: m.shape[0] + 1] += 1.0 - leak_rate
-    return m
+    return _to_effective(np.array(recurrent, dtype=float), leak_rate)
+
+
+def _to_effective(w: np.ndarray, leak_rate: float) -> np.ndarray:
+    """Turn the writable What ``w`` into its effective matrix in place, and return it.
+
+    ``w`` is scaled by ``a`` and ``1 - a`` is added on its diagonal.
+    """
+    w *= leak_rate
+    w.flat[:: w.shape[0] + 1] += 1.0 - leak_rate
+    return w
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -231,13 +239,10 @@ def _drive(params: HyperParams, layer: int) -> np.ndarray:
 def _layer_weights(params: HyperParams, layer: int) -> tuple[np.ndarray, np.ndarray]:
     """Layer ``layer``'s (1-based) drive and effective matrix M, read-only.
 
-    M is built in the buffer that holds What, so no guess holds both: with
-    leak ``a``, What is scaled by ``a`` and ``1 - a`` added on its diagonal
-    in place, the same steps and bits as ``effective_matrix(What, a)``.
+    M is built by ``_to_effective`` in the buffer that holds What, so no
+    guess holds both, and has the bits of ``effective_matrix(What, a)``.
     """
-    a, m = params.leak_rate, _scaled_recurrent(params, layer)
-    m *= a
-    m.flat[:: m.shape[0] + 1] += 1.0 - a
+    m = _to_effective(_scaled_recurrent(params, layer), params.leak_rate)
     return _drive(params, layer), _readonly(m)
 
 

@@ -254,7 +254,7 @@ def test_run_rejects_bad_scale_or_lambda_before_writing(tmp_path, capsys, monkey
 def test_flat_check_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch):
     # 2 layers x 10 units flatten to a 20x20 matrix of 3200 bytes
     monkeypatch.setattr(cli_mod, "verify_equivalence", refuse)
-    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * 3200 - 1)
+    monkeypatch.setattr(_native, "_physical_memory", lambda: 2 * 3200 - 1)
     out = tmp_path / "flat"
     assert main(["verify-flat", "--layers", "2", "--units", "10", "--out", str(out)]) == 2
     assert "dense 20x20 flat matrix" in capsys.readouterr().err
@@ -262,7 +262,7 @@ def test_flat_check_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch
 
 
 def test_flat_check_runs_within_half_the_memory(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * 3200)
+    monkeypatch.setattr(_native, "_physical_memory", lambda: 2 * 3200)
     out = tmp_path / "flat"
     assert main(["verify-flat", "--layers", "2", "--units", "10", "--out", str(out)]) == 0
     assert json.loads((out / "equivalence.txt").read_text())["pass"] is True
@@ -283,7 +283,7 @@ def test_guess_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch, com
     argv, need = GUESS_ARGV[command]
     monkeypatch.setattr(cli_mod, "grid_search", refuse)
     monkeypatch.setattr(cli_mod, "_solve_layers", refuse)
-    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * need - 1)
+    monkeypatch.setattr(_native, "_physical_memory", lambda: 2 * need - 1)
     out = tmp_path / command
     assert main([*argv, "--out", str(out)]) == 2
     assert "guess" in capsys.readouterr().err
@@ -293,7 +293,6 @@ def test_guess_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch, com
 @pytest.mark.parametrize("command", sorted(GUESS_ARGV))
 def test_guess_runs_within_half_the_memory(tmp_path, monkeypatch, command):
     argv, need = GUESS_ARGV[command]
-    monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2 * need)
     monkeypatch.setattr(_native, "_physical_memory", lambda: 2 * need)
     out = tmp_path / command
     assert main([*argv, "--out", str(out)]) == 0

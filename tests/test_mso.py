@@ -716,8 +716,9 @@ def test_a_weight_cache_warmed_at_two_blas_threads_keeps_the_records(monkeypatch
     assert repr(warm.records) == repr(cold.records)
 
 
-def _record_pools(monkeypatch) -> list:
-    """The thread count of every pool ``guess_map`` makes from now on."""
+def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
+    if _native.threads() is None:
+        pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -726,13 +727,6 @@ def _record_pools(monkeypatch) -> list:
             super().__init__(max_workers)
 
     monkeypatch.setattr(_native, "ThreadPoolExecutor", RecordingPool)
-    return pools
-
-
-def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
-    if _native.threads() is None:
-        pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
-    pools = _record_pools(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     capped = de.grid_search(de.MsoTask(5), TINY_GRID)       # at most one per guess
     assert pools == [TINY_GRID.guesses]
@@ -740,35 +734,6 @@ def test_grid_search_defaults_to_one_worker_per_usable_core(monkeypatch):
     single = de.grid_search(de.MsoTask(5), TINY_GRID)       # as under taskset -c 0
     assert pools == [TINY_GRID.guesses, 1]
     assert repr(capped.records) == repr(single.records)
-
-
-def test_grid_search_takes_no_more_threads_than_half_the_memory_holds(monkeypatch):
-    if _native.threads() is None:
-        pytest.skip("without numpy's BLAS thread-count setter every sweep is serial")
-    pools = _record_pools(monkeypatch)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    grid = dataclasses.replace(TINY_GRID, guesses=8)
-    guess = rc._guess_bytes(grid.num_layers, grid.units_per_layer, de.MsoTask(5).length)
-    records = []
-    for held in (8, 3, 1, 0):  # guesses half the memory holds; one thread at least
-        monkeypatch.setattr(_native, "_physical_memory", lambda held=held: 2 * held * guess)
-        records.append(repr(de.grid_search(de.MsoTask(5), grid).records))
-    assert pools == [8, 3, 1, 1]
-    assert records == records[:1] * 4
-
-
-@pytest.mark.parametrize("layers,units", [(10, 100), (1, 1000), (2, 100)])
-def test_memory_rule_keeps_a_thread_per_core_on_the_bench_host(monkeypatch, layers, units):
-    # the benchmark's host has 2 cores and 7.8 GiB: its grid guesses (10x100
-    # and 1x1000) and its spectrum guesses (held as 2x100) keep both threads
-    if _native.threads() is None:
-        pytest.skip("without numpy's BLAS thread-count setter every job is serial")
-    pools = _record_pools(monkeypatch)
-    monkeypatch.setattr(_native, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(_native, "_physical_memory", lambda: 8019 << 20)
-    with _native.guess_map(10, rc._guess_bytes(layers, units, 1000)):
-        pass
-    assert pools == [2]
 
 
 def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
