@@ -124,8 +124,8 @@ def one_thread() -> Iterator[None]:
 def guess_map(guesses: int) -> Iterator[Callable]:
     """The map over a job's guesses: one thread per usable core, at most ``guesses``.
 
-    A job is one (leak, radius) pair of ``grid_search``, or the guesses of the
-    CLI's ``spectrum``.
+    A job is one (leak, radius) pair of ``grid_search``, or the guesses of
+    ``layer_spectra``.
 
     The threads run with numpy's OpenBLAS at one thread (its own threads
     would compete with the pool's for the cores, and its results depend on

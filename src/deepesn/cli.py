@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -39,9 +38,8 @@ from . import _native
 from .flat import verify_equivalence
 from .mso import (ConfigResult, ExperimentResult, GridSpec, MsoTask, SplitSpec, generate_mso,
                   grid_search)
-from .reservoir import (HyperParams, _guess_bytes, _layer_weights, _solve_layers,
-                        init_reservoir)
-from .spectral import SpectrumReport, SpikeMetrics, _guess_curves, _report, spike_metrics
+from .reservoir import HyperParams, _guess_bytes, init_reservoir
+from .spectral import SpectrumReport, SpikeMetrics, layer_spectra, spike_metrics
 
 _RESULT_COLUMNS = (
     "task", "model", "num_layers", "units_per_layer", "input_scale",
@@ -61,6 +59,9 @@ def _check_run(args: argparse.Namespace) -> None:
     """The rules of ``run`` that its parser cannot express.
 
     A grid sweeps every candidate, so it refuses the flags of a single point.
+    A single point's leak rate and spectral radius are checked by the
+    ``HyperParams`` its guesses are built from; ``GridSpec`` checks its
+    input scale and lambda.
     """
     point = (("--scale-in", args.scale_in, GridSpec.input_scales),
              ("--leak", args.leak, GridSpec.leak_rates),
@@ -75,15 +76,10 @@ def _check_run(args: argparse.Namespace) -> None:
     missing = [flag for flag, value, _ in point[:3] if value is None]  # --lambda may sweep
     if missing:
         raise ValueError(f"single mode requires {', '.join(missing)}")
+    HyperParams(args.layers, args.units, leak_rate=args.leak, spectral_radius_target=args.rho)
     if not args.allow_custom:
         for flag, value, candidates in given:
             _require_in_domain(flag, value, candidates)
-
-
-def _require_analysis_window(washout: int, length: int) -> None:
-    if not 0 <= washout <= length - 2:
-        raise ValueError(f"spectral analysis needs 0 <= washout <= length - 2 (at least "
-                         f"2 analysis steps), got washout={washout}")
 
 
 def _require_driven(command: str, scale_in: float) -> None:
@@ -266,10 +262,9 @@ def _mso_signal(task_n: int, length: int) -> tuple[np.ndarray, tuple[float, ...]
 
 
 def _equivalence(task_n: int, params: HyperParams, steps: int, rel_tol: float) -> dict:
-    """The ``equivalence.txt`` record of the layered-vs-flat check, at one BLAS thread."""
+    """The ``equivalence.txt`` record of the layered-vs-flat check."""
     inputs, _ = _mso_signal(task_n, steps)
-    with _native.one_thread():
-        report = verify_equivalence(init_reservoir(params), inputs, rel_tol)
+    report = verify_equivalence(init_reservoir(params), inputs, rel_tol)
     return {
         "max_abs_diff": report.max_abs_diff,
         "max_rel_diff": report.max_rel_diff,
@@ -278,35 +273,6 @@ def _equivalence(task_n: int, params: HyperParams, steps: int, rel_tol: float) -
         "steps": report.num_steps,
         "config": dataclasses.asdict(params),
     }
-
-
-def _spectra(args: argparse.Namespace,
-             params: HyperParams) -> tuple[SpectrumReport, SpikeMetrics]:
-    """Layer spectra over ``args.guesses`` seeds from ``params.seed``, and their spikes.
-
-    The guesses run on ``run``'s pool (``_native.guess_map``): each thread
-    builds, solves and transforms one guess a layer at a time, so it holds
-    one layer's weights and two layers' states whatever the depth, and keeps
-    only the per-layer curves, which are added in guess order, so the files
-    are the same for any thread count.
-    """
-    # two layers' states and the scan's matrices, or one layer's states and spectra
-    _native.require_half_memory(
-        f"one {params.num_layers}x{params.units_per_layer} spectrum guess",
-        _guess_bytes(2, params.units_per_layer, args.length))
-    u, phis = _mso_signal(args.task, args.length)
-
-    def curves(seed: int):
-        guess = dataclasses.replace(params, seed=seed)
-        layers = map(functools.partial(_layer_weights, guess),
-                     range(1, guess.num_layers + 1))
-        return _guess_curves(_solve_layers(layers, u[:, None], guess.leak_rate),
-                             args.washout)
-
-    with _native.guess_map(args.guesses) as map_guesses:
-        report = _report(map_guesses(curves, range(params.seed, params.seed + args.guesses)),
-                         args.washout, params)
-    return report, spike_metrics(report, phis)
 
 
 def _write_spectra(out: str, report: SpectrumReport, metrics: SpikeMetrics) -> None:
@@ -439,18 +405,19 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _spectrum(args: argparse.Namespace) -> int:
-    if args.guesses < 1:
-        raise ValueError(f"spectrum needs --guesses >= 1, got {args.guesses}")
-    _require_analysis_window(args.washout, args.length)
+    """``layer_spectra`` of ``--guesses`` seeds from ``--seed`` on the MSO signal.
+
+    ``layer_spectra`` checks the washout, the seeds and the memory rule
+    before it simulates; the spikes are those of the task's frequencies.
+    """
     _require_driven("spectrum", args.scale_in)  # zero states: every filtering ratio 0/0
     params = _analysis_params(args)
-    if params.seed > 2 ** 64 - args.guesses:
-        raise ValueError(f"spectrum's last seed, --seed + --guesses - 1, must be below "
-                         f"2**64, got --seed {args.seed} and --guesses {args.guesses}")
-    spectra = _spectra(args, params)
+    u, phis = _mso_signal(args.task, args.length)
+    report = layer_spectra(params, u, args.guesses, args.washout)
+    metrics = spike_metrics(report, phis)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "config.echo"), vars(args))
-    _write_spectra(args.out, *spectra)
+    _write_spectra(args.out, report, metrics)
     return 0
 
 

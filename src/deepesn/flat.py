@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .reservoir import DeepReservoir, _as_input_matrix, _readonly, effective_matrix, run
 
 
@@ -103,12 +104,15 @@ def verify_equivalence(res: DeepReservoir, inputs, rel_tol: float) -> Equivalenc
     flat system's state in that layer. Rounding grows with the states,
     which reach ~1e9 by layer 10 at input scale 1, so an absolute bound
     would test the depth of the network rather than the rewrite. An infinite
-    ``rel_tol`` would pass any gap, so it must be finite and positive.
+    ``rel_tol`` would pass any gap, so it must be finite and positive. Both
+    systems run with OpenBLAS at one thread (``_native.one_thread``), so the
+    report is the same at any ``OPENBLAS_NUM_THREADS``.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
-    layered = run(res, inputs)
-    flat = run_flat(flatten(res), inputs)
+    with _native.one_thread():
+        layered = run(res, inputs)
+        flat = run_flat(flatten(res), inputs)
     gaps = np.abs(layered - flat)
     layer_gaps = gaps.max(axis=(0, 2))
     with np.errstate(divide="ignore", invalid="ignore"):

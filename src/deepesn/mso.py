@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _native
 from .readout import _nrmse_rows, fit_ridge_sweep, nrmse
-from .reservoir import HyperParams, _is_int, _layer_weights, _solve_layers
+from .reservoir import HyperParams, _guess_layers, _is_int
 
 #: Canonical MSO frequencies (radians per step); MSO-n uses the first n.
 CANONICAL_PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97,
@@ -65,6 +65,9 @@ class SplitSpec:
             raise ValueError("split ranges must be nonempty and ordered")
         if v0 != t1 + 1 or s0 != v1 + 1:
             raise ValueError("split ranges must be contiguous and in order")
+        if v1 == v0 or s1 == s0:
+            raise ValueError("validation and test ranges need at least two steps each: "
+                             "NRMSE normalizes by their targets' spread")
         if not 0 <= self.washout < (t1 - t0 + 1):
             raise ValueError("washout must fit inside the training range")
 
@@ -257,18 +260,17 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
                     leak: float, rho: float, seed: int) -> list:
     """One guess at every input scale: per scale, its (val, test) NRMSE rows or the exception.
 
-    The guess runs once, at unit scale, for all scales: ``_solve_layers``
-    solves it into one ``(steps, layers, units)`` array, building each
-    layer's drive and effective matrix with ``_layer_weights`` once the
-    layer below is solved, so the guess holds its states, one layer's
-    weights and the scan's buffers (``_guess_bytes``), and no
-    ``DeepReservoir``. The states X are exactly linear in the input scale,
-    layer i scaling as s**i, so a failed run fails every scale. At scale
-    s > 0 the states are s X D, D weighting layer i by s**(i-1), and the
-    ridge fit of s X D at lambda predicts what the fit of X D at
-    lambda / s**2 predicts. So the scales that share D
-    share one fit over their concatenated lambda / s**2: one layer has one
-    group (D = 1), a deep guess one group per scale. At scale 0, and wherever
+    The guess runs once, at unit scale, for all scales: ``_guess_layers``
+    builds and solves it into one ``(steps, layers, units)`` array, a layer
+    at a time, so the guess holds its states, one layer's weights and the
+    scan's buffers (``_guess_bytes``), and no ``DeepReservoir``. The states
+    X are exactly linear in the input scale, layer i scaling as s**i, so a
+    failed run fails every scale. At scale s > 0 the states are s X D, D
+    weighting layer i by s**(i-1), and the ridge fit of s X D at lambda
+    predicts what the fit of X D at lambda / s**2 predicts. So the scales
+    that share D share one fit over their concatenated lambda / s**2: one
+    layer has one group (D = 1), a deep guess one group per scale. A fit or
+    score that raises fails every scale of its group. At scale 0, and wherever
     lambda > 0 and lambda / s**2 overflows, the weights vanish and the
     prediction is zero; at lambda = 0 every nonzero scale keeps the fit of
     X D, however small s**2. A scale's states are checked to be finite
@@ -284,9 +286,7 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
             params = HyperParams(grid.num_layers, grid.units_per_layer, leak_rate=leak,
                                  spectral_radius_target=rho, seed=seed)
             states = np.empty((len(u), grid.num_layers, grid.units_per_layer))
-            weights = map(functools.partial(_layer_weights, params),
-                          range(1, grid.num_layers + 1))
-            for _ in _solve_layers(weights, u[:, None], leak, states):
+            for _ in _guess_layers(params, u[:, None], states):
                 pass
         except Exception as exc:  # recorded per scale, excluded from selection
             return [exc] * len(scales)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -255,7 +255,8 @@ def init_reservoir(params: HyperParams) -> DeepReservoir:
     normalized, and rescaled so that every layer's effective matrix has
     spectral radius exactly ``spectral_radius_target``. No bias terms.
     Each layer's drive comes from ``_drive`` and its What from
-    ``_scaled_recurrent``, the two ``_layer_weights`` builds a layer from.
+    ``_scaled_recurrent``, as in ``_guess_layers``, which builds and solves
+    a guess without a ``DeepReservoir``.
     """
     layers = range(1, params.num_layers + 1)
     drives = tuple(_drive(params, layer) for layer in layers)
@@ -426,6 +427,19 @@ def _solve_layers(layers: Iterable[tuple[np.ndarray, np.ndarray]], u: np.ndarray
         del m
         src, i = x, i + 1
         yield x
+
+
+def _guess_layers(params: HyperParams, u: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+    """The guess ``params`` builds, solved layer by layer from the input matrix ``u``.
+
+    ``_solve_layers`` over ``_layer_weights``: each layer's weights are built
+    once the layer below is solved, so the guess holds one layer's weights
+    and no ``DeepReservoir``. The states have the bits of ``run`` on
+    ``init_reservoir(params)``.
+    """
+    weights = map(partial(_layer_weights, params), range(1, params.num_layers + 1))
+    return _solve_layers(weights, u, params.leak_rate, out)
 
 
 def run(res: DeepReservoir, inputs) -> np.ndarray:

@@ -14,12 +14,14 @@ Frequencies are in cycles per step (0 to 0.5); a sine of angular frequency
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .reservoir import HyperParams, _readonly
+from . import _native
+from .reservoir import (HyperParams, _as_input_matrix, _guess_bytes, _guess_layers, _is_int,
+                        _readonly)
 
 #: Half-width (in bins) of the window searched around an expected spike bin;
 #: covers rectangular-window leakage of near-bin sinusoids.
@@ -51,7 +53,6 @@ class SpectrumReport:
     num_layers: int
     units_per_layer: int
     zero_units: int
-    params: Optional[HyperParams] = None
 
 
 @dataclass(frozen=True)
@@ -83,80 +84,76 @@ def magnitude_spectrum(signal) -> np.ndarray:
     return np.abs(np.fft.rfft(x))
 
 
-def _guess_curves(layers: Iterable[np.ndarray],
-                  washout: int) -> tuple[tuple[int, ...], np.ndarray, int]:
-    """One guess's ``(shape, curves, zero_units)`` for ``_report``.
+def _guess_curves(layers: Iterable[np.ndarray], washout: int) -> tuple[np.ndarray, int]:
+    """One guess's per-layer ``(curves, zero_units)``.
 
     ``layers`` gives each layer's ``(steps, units)`` states, layer 1 first.
     ``curves[i]`` is layer i+1's mean over units of each unit's magnitude
     spectrum after the washout, normalized to max 1; identically-zero unit
-    series skip normalization and are counted in ``zero_units``. ``shape``
-    is ``(steps, layers, units)``. Each layer is read once and dropped, so a
-    generator of layers keeps one layer's states and spectra alive here.
+    series skip normalization and are counted in ``zero_units``. Each layer
+    is read once and dropped, so a generator of layers keeps one layer's
+    states and spectra alive here.
     """
-    if washout < 0:
-        raise ValueError("washout must be nonnegative")
-    curves, shape, zero_units = [], None, 0
+    curves, zero_units = [], 0
     for states in layers:
-        if shape is None:
-            shape = states.shape
-            if shape[0] - washout < 2:
-                raise ValueError("analysis window must span at least 2 steps, "
-                                 f"got {shape[0] - washout}")
         mags = np.abs(np.fft.rfft(states[washout:], axis=0))  # (bins, units)
         peaks = mags.max(axis=0, keepdims=True)
         zero_units += int(np.count_nonzero(peaks == 0.0))
         normalized = np.divide(mags, peaks, out=np.zeros_like(mags), where=peaks > 0)
         curves.append(normalized.mean(axis=1))
-    if shape is None:
-        raise ValueError("a guess needs at least one layer")
-    return (shape[0], len(curves), shape[1]), np.array(curves), zero_units
+    return np.array(curves), zero_units
 
 
-def _report(per_guess: Iterable[tuple[tuple[int, ...], np.ndarray, int]], washout: int,
-            params: Optional[HyperParams] = None) -> SpectrumReport:
-    """The report averaging ``_guess_curves`` results, added in the order given."""
-    shape = None
-    guesses = zero_units = 0
-    for guess_shape, curves, zeros in per_guess:
-        if shape is None:
-            shape, total = guess_shape, np.zeros_like(curves)
-        elif guess_shape != shape:
-            raise ValueError("all trajectories must share dimensions")
-        guesses += 1
-        total += curves
-        zero_units += zeros
-    if shape is None:
-        raise ValueError("need at least one trajectory")
-    curves = total / guesses
-    layer_peaks = curves.max(axis=1, keepdims=True)
-    curves = np.divide(curves, layer_peaks, out=np.zeros_like(curves),
-                       where=layer_peaks > 0)
-    steps, n_layers, n_units = shape
+def layer_spectra(params: HyperParams, inputs, guesses: int, washout: int) -> SpectrumReport:
+    """Averaged per-layer spectra of ``guesses`` reservoirs driven by ``inputs``.
+
+    Guess g is ``params`` at seed ``params.seed + g``; ``inputs`` is ``(steps,
+    input_dim)``, or a 1-D sequence for one input. For every guess, layer and
+    unit: drop the washout steps, take the magnitude spectrum of the unit's
+    series, normalize it to max 1, then average over units and guesses;
+    identically-zero unit series skip normalization and are tallied in
+    ``zero_units``.
+
+    The washout, the seeds and the memory rule (``_guess_bytes`` of two
+    layers within half the physical memory) are checked before anything is
+    simulated. The guesses run on ``_native.guess_map``: each thread builds,
+    solves and transforms a guess one layer at a time (``_guess_layers``) and
+    keeps only its curves, which are added in guess order, so the report is
+    the same for any thread count.
+    """
+    u = _as_input_matrix(inputs, params.input_dim)
+    steps = u.shape[0]
+    if not (_is_int(washout) and 0 <= washout <= steps - 2):
+        raise ValueError(f"spectral analysis needs 0 <= washout <= steps - 2 (at least "
+                         f"2 analysis steps), got washout={washout} over {steps} steps")
+    if not (_is_int(guesses) and 1 <= guesses <= 2 ** 64 - params.seed):
+        raise ValueError(f"guesses must be an integer in [1, 2**64 - seed] so that every "
+                         f"guess has a seed, got {guesses!r} from seed {params.seed}")
+    # two layers' states and the scan's matrices, or one layer's states and spectra
+    _native.require_half_memory(
+        f"one {params.num_layers}x{params.units_per_layer} spectrum guess",
+        _guess_bytes(2, params.units_per_layer, steps))
+
+    def curves(seed: int) -> tuple[np.ndarray, int]:
+        return _guess_curves(_guess_layers(replace(params, seed=seed), u), washout)
+
+    total, zero_units = 0.0, 0
+    with _native.guess_map(guesses) as map_guesses:
+        for guess_curves, zeros in map_guesses(curves, range(params.seed,
+                                                             params.seed + guesses)):
+            total += guess_curves
+            zero_units += zeros
+    per_layer = total / guesses
+    layer_peaks = per_layer.max(axis=1, keepdims=True)
+    per_layer = np.divide(per_layer, layer_peaks, out=np.zeros_like(per_layer),
+                          where=layer_peaks > 0)
     return SpectrumReport(
         freq_bins=_readonly(np.fft.rfftfreq(steps - washout)),
-        per_layer=_readonly(curves),
+        per_layer=_readonly(per_layer),
         window=steps - washout, washout=washout, guesses=guesses,
-        num_layers=n_layers, units_per_layer=n_units,
-        zero_units=zero_units, params=params,
+        num_layers=params.num_layers, units_per_layer=params.units_per_layer,
+        zero_units=zero_units,
     )
-
-
-def layer_spectra(trajectories: Iterable[np.ndarray], washout: int,
-                  params: Optional[HyperParams] = None) -> SpectrumReport:
-    """Averaged per-layer spectra over a set of reservoir guesses.
-
-    Each trajectory is one guess's ``(steps, layers, units)`` states, as
-    ``run`` returns them. For every guess, layer, and unit: drop the washout
-    steps, take the magnitude spectrum of the unit's series, normalize it to
-    max 1, then average over units and guesses. Identically-zero unit series
-    skip normalization and are tallied in the report diagnostics. The
-    trajectories are read once, in order, so a generator keeps only one
-    guess's states alive at a time.
-    """
-    # map keeps no reference to a trajectory once its curves are made
-    return _report(map(lambda states: _guess_curves(np.moveaxis(states, 1, 0), washout),
-                       trajectories), washout, params)
 
 
 def spike_metrics(report: SpectrumReport, phis: Sequence[float]) -> SpikeMetrics:

@@ -6,7 +6,6 @@ some minutes each on a single core; they are computed once per session and
 shared across criteria.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -62,12 +61,9 @@ def mso5_small():
 @pytest.fixture(scope="session")
 def spectral_run():
     params = de.HyperParams(10, 100, input_scale=1.0, leak_rate=0.9,
-                            spectral_radius_target=0.7, seed=0)
-    reservoirs = [de.init_reservoir(dataclasses.replace(params, seed=BASE_SEED + g))
-                  for g in range(20)]
+                            spectral_radius_target=0.7, seed=BASE_SEED)
     u = de.generate_mso(de.MsoTask(12))
-    trajectories = [de.run(r, u) for r in reservoirs]
-    report = de.layer_spectra(trajectories, washout=100, params=params)
+    report = de.layer_spectra(params, u, guesses=20, washout=100)
     return de.spike_metrics(report, de.CANONICAL_PHIS)
 
 

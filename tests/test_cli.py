@@ -1,12 +1,13 @@
-import dataclasses
+import contextlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import deepesn as de
 from deepesn import cli as cli_mod
-from deepesn import _native
+from deepesn import _native, spectral
 from deepesn import reservoir as rc
 from deepesn.cli import ANALYSIS_POINT, _build_parser, _result_row, main
 
@@ -251,6 +252,21 @@ def test_run_rejects_bad_scale_or_lambda_before_writing(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [["--leak", "1.5"], ["--leak", "0"], ["--leak", "nan"],
+                                 ["--rho", "-1"], ["--rho", "inf"]])
+def test_run_single_rejects_a_point_hyperparams_refuses(tmp_path, capsys, monkeypatch, bad):
+    # the point's guesses could not be built, so the run refuses it before
+    # writing, as spectrum and verify-flat do, rather than record it failed
+    monkeypatch.setattr(cli_mod, "grid_search", refuse)
+    out = tmp_path / "point"
+    code = main(["run", "--single", "--task", "mso5", "--scale-in", "1", "--leak", "0.9",
+                 "--rho", "0.7", "--allow-custom", "--layers", "2", "--units", "2",
+                 "--guesses", "1", "--out", str(out), *bad])  # the later flag wins
+    assert code == 2
+    assert "error: config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flat_check_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch):
     # 2 layers x 10 units flatten to a 20x20 matrix of 3200 bytes
     monkeypatch.setattr(cli_mod, "verify_equivalence", refuse)
@@ -282,7 +298,7 @@ GUESS_ARGV = {
 def test_guess_refused_beyond_half_the_memory(tmp_path, capsys, monkeypatch, command):
     argv, need = GUESS_ARGV[command]
     monkeypatch.setattr(cli_mod, "grid_search", refuse)
-    monkeypatch.setattr(cli_mod, "_solve_layers", refuse)
+    monkeypatch.setattr(rc, "_solve_layers", refuse)
     monkeypatch.setattr(_native, "_physical_memory", lambda: 2 * need - 1)
     out = tmp_path / command
     assert main([*argv, "--out", str(out)]) == 2
@@ -397,8 +413,10 @@ def test_spectrum_command(tmp_path):
 @pytest.mark.parametrize("cores", [1, 2])
 def test_spectrum_files_match_a_serial_hand_loop(tmp_path, monkeypatch, cores):
     # the guesses run on run's pool and are added in guess order, so every
-    # thread count writes the files of layer_spectra over serial runs (at
-    # 20 units OpenBLAS splits no product, so its thread count is moot)
+    # thread count writes the files of a serial reference: layer_spectra over
+    # the states run gives for init_reservoir's reservoirs, one guess after
+    # another (at 20 units OpenBLAS splits no product, so its thread count is
+    # moot)
     monkeypatch.setattr(_native, "_usable_cores", lambda: cores)
     out = tmp_path / "pooled"
     assert main(["spectrum", "--task", "mso12", "--layers", "3", "--units", "20",
@@ -406,9 +424,10 @@ def test_spectrum_files_match_a_serial_hand_loop(tmp_path, monkeypatch, cores):
                  "--out", str(out)]) == 0
     params = de.HyperParams(3, 20, 1, *ANALYSIS_POINT, seed=4)
     u = de.generate_mso(de.MsoTask(12))[:400]
-    report = de.layer_spectra(
-        (de.run(de.init_reservoir(dataclasses.replace(params, seed=4 + g)), u)
-         for g in range(5)), washout=50, params=params)
+    monkeypatch.setattr(spectral, "_guess_layers", lambda guess, inputs: iter(
+        np.moveaxis(de.run(de.init_reservoir(guess), inputs), 1, 0)))
+    monkeypatch.setattr(_native, "guess_map", lambda guesses: contextlib.nullcontext(map))
+    report = de.layer_spectra(params, u, guesses=5, washout=50)
     hand = tmp_path / "hand"
     hand.mkdir()
     cli_mod._write_spectra(str(hand), report, de.spike_metrics(report, de.MsoTask(12).phis))
@@ -439,7 +458,7 @@ def test_spectrum_files_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_spectrum_rejects_washout_before_simulating(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli_mod, "_solve_layers", refuse)
+    monkeypatch.setattr(rc, "_solve_layers", refuse)
     out = tmp_path / "spec"
     code = main(["spectrum", "--guesses", "20", "--washout", "5000", "--out", str(out)])
     assert code == 2
@@ -489,6 +508,25 @@ def test_run_experiment_crash_keeps_partial_and_manifest(tmp_path, monkeypatch):
                for line in partial[1:])
     assert "worker lost" in (out / "failures.txt").read_text()
     assert not (out / "results.csv").exists()
+
+
+def test_run_with_every_configuration_failed_writes_its_failures(tmp_path, capsys):
+    # at rho 50 every guess diverges: the one configuration is an error
+    # record, so the run exits 1 after writing its failures and summary
+    out = tmp_path / "diverged"
+    assert main(["run", "--task", "mso5", "--single", "--scale-in", "1", "--leak", "0.9",
+                 "--rho", "50", "--allow-custom", "--layers", "2", "--units", "5",
+                 "--guesses", "2", "--out", str(out)]) == 1
+    assert "no configuration evaluated successfully" in capsys.readouterr().err
+    failures = read_lines(out / "failures.txt")
+    assert len(failures) == 1
+    assert failures[0].startswith("deep input_scale=1.0 leak_rate=0.9 spectral_radius=50.0: "
+                                  "RuntimeError: non-finite reservoir states")
+    summary = (out / "summary.txt").read_text()
+    assert "  no configuration evaluated successfully" in summary
+    assert "  failed configurations: 1" in summary
+    assert not (out / "results.partial.csv").exists()
+    assert len(read_lines(out / "results.csv")) == 2  # header and the error record
 
 
 # ------------------------------------------------------------ config.echo replay
@@ -561,7 +599,7 @@ def test_run_flags_win_over_config(tmp_path):
     ["verify-flat", "--tol", "inf"],  # would pass any gap
 ])
 def test_analyses_reject_bad_values_before_writing(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli_mod, "_solve_layers", refuse)
+    monkeypatch.setattr(rc, "_solve_layers", refuse)
     out = tmp_path / "analysis"
     assert main([*argv, "--out", str(out)]) == 2
     assert "error: config" in capsys.readouterr().err
@@ -616,7 +654,7 @@ def test_spectrum_guess_memory_does_not_grow_with_depth(tmp_path, monkeypatch):
 def test_spectrum_fails_mid_guess_on_an_unscalable_layer(tmp_path, capsys, monkeypatch):
     # a guess builds each layer when the one below is done, so layer 3's
     # failure comes after two layers are solved; nothing is written
-    real_base, real_solve, solved = rc._recurrent_base, cli_mod._solve_layers, []
+    real_base, real_solve, solved = rc._recurrent_base, rc._solve_layers, []
 
     def no_layer_3(seed, layer, n_units, attempt):
         return None if layer == 3 else real_base(seed, layer, n_units, attempt)
@@ -627,7 +665,7 @@ def test_spectrum_fails_mid_guess_on_an_unscalable_layer(tmp_path, capsys, monke
             yield states
 
     monkeypatch.setattr(rc, "_recurrent_base", no_layer_3)
-    monkeypatch.setattr(cli_mod, "_solve_layers", counted)
+    monkeypatch.setattr(rc, "_solve_layers", counted)
     out = tmp_path / "spec"
     assert main(["spectrum", "--layers", "4", "--units", "5", "--guesses", "1",
                  "--out", str(out)]) == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import deepesn as de
+from deepesn import _native
 from deepesn import flat as flat_module
 
 from conftest import gelfand_radius
@@ -156,6 +157,30 @@ def test_verify_equivalence_rejects_bad_tol(small_reservoir):
     for tol in (0.0, -1e-12, np.inf, np.nan):
         with pytest.raises(ValueError):
             de.verify_equivalence(small_reservoir, np.ones(5), rel_tol=tol)
+
+
+def test_verify_equivalence_does_not_depend_on_blas_threads():
+    # the check runs both systems with OpenBLAS at one thread and restores
+    # the count; at 3x300 the products round otherwise on two threads
+    # (max_abs_diff 3.64e-12 at one thread against 3.87e-12 at two)
+    threads = _native.threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread-count setter")
+    get_threads, set_threads = threads
+    r = de.init_reservoir(de.HyperParams(3, 300, 1, 1.0, 0.9, 0.7, seed=0))
+    u = de.generate_mso(de.MsoTask(12))[:200]
+    before = get_threads()
+    reports = {}
+    try:
+        for count in (1, 2):
+            set_threads(count)
+            report = de.verify_equivalence(r, u, rel_tol=1e-12)
+            assert get_threads() == count
+            reports[count] = (report.max_abs_diff, report.max_rel_diff, report.passed,
+                              report.per_step_diffs.tobytes())
+    finally:
+        set_threads(before)
+    assert reports[1] == reports[2]
 
 
 def test_spectrum_containment(rng):

@@ -113,6 +113,8 @@ def test_grid_defaults_are_benchmark_candidate_lists():
     dict(train=(1, 400), validation=(400, 700), test=(701, 1000)),   # overlap
     dict(train=(1, 400), washout=400),                               # washout too long
     dict(train=(1, 400), validation=(401, 700), test=(700, 1000)),
+    dict(train=(1, 400), validation=(401, 401), test=(402, 1000)),   # one validation step
+    dict(train=(1, 400), validation=(401, 700), test=(701, 701)),    # one test step
 ])
 def test_invalid_splits_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -563,7 +565,7 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
     # seed 9 fails to initialise at rho 0.9, which fails every scale of that
     # pair; seed 8 gets one state of 1e308 inside the washout, finite at scale
     # 0.1 but not at scale 10, where it is the first failure in guess order
-    real_weights, real_solve, building = mso._layer_weights, mso._solve_layers, threading.local()
+    real_weights, real_solve, building = rc._layer_weights, rc._solve_layers, threading.local()
 
     def layer_weights(params, layer):
         if params.seed == 9 and params.spectral_radius_target == 0.9:
@@ -576,8 +578,8 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
         if building.seed == 8:
             out[0, 0, 0] = 1e308
 
-    monkeypatch.setattr(mso, "_layer_weights", layer_weights)
-    monkeypatch.setattr(mso, "_solve_layers", solve_layers)
+    monkeypatch.setattr(rc, "_layer_weights", layer_weights)
+    monkeypatch.setattr(rc, "_solve_layers", solve_layers)
     grid = dataclasses.replace(TINY_GRID, input_scales=(0.1, 10.0), guesses=3)
     serial = _sweep(monkeypatch, 1, grid)
     parallel = _sweep(monkeypatch, 2, grid)
@@ -594,6 +596,30 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
     assert serial.failures == 3
     assert serial.selected.input_scale == 0.1
     assert serial.selected.spectral_radius == 0.7
+
+
+def test_grid_search_scoring_failures_are_error_records(monkeypatch):
+    # a fit that fails scores no lambda of its group: scale 0.1's fits (at
+    # lambda / 0.01) raise, so each pair has one error record at that scale,
+    # excluded from selection, the same on one thread and on two
+    real_fit = mso.fit_ridge_sweep
+
+    def fit_ridge_sweep(states, targets, lambdas):
+        if lambdas[0] > 1e-7:
+            raise np.linalg.LinAlgError("injected failure")
+        return real_fit(states, targets, lambdas)
+
+    monkeypatch.setattr(mso, "fit_ridge_sweep", fit_ridge_sweep)
+    serial = _sweep(monkeypatch, 1)
+    parallel = _sweep(monkeypatch, 2)
+    assert repr(serial.records) == repr(parallel.records)  # error records hold NaN
+    errors = {(r.input_scale, r.spectral_radius): r.error
+              for r in serial.records if r.error is not None}
+    assert errors == {(0.1, rho): "LinAlgError: injected failure" for rho in (0.7, 0.9)}
+    assert serial.failures == 2
+    assert serial.selected.input_scale == 1.0
+    assert serial.selected == min((r for r in serial.records if r.error is None),
+                                  key=lambda r: r.mean_val_nrmse)
 
 
 
@@ -756,7 +782,7 @@ def test_grid_search_without_blas_setter_runs_serially(monkeypatch):
 def test_guess_simulates_once_per_distinct_scale(monkeypatch, leak, simulated):
     # a guess serves its two input scales from one unit-scale run; leak 0
     # fails every scale before a run
-    calls, real_weights, real_solve = [], mso._layer_weights, mso._solve_layers
+    calls, real_weights, real_solve = [], rc._layer_weights, rc._solve_layers
     built = []
 
     def layer_weights(params, layer):
@@ -768,8 +794,8 @@ def test_guess_simulates_once_per_distinct_scale(monkeypatch, leak, simulated):
         calls.append(built[0])  # the scale of the reservoir just solved
         built.clear()
 
-    monkeypatch.setattr(mso, "_layer_weights", layer_weights)
-    monkeypatch.setattr(mso, "_solve_layers", solve_layers)
+    monkeypatch.setattr(rc, "_layer_weights", layer_weights)
+    monkeypatch.setattr(rc, "_solve_layers", solve_layers)
     task = de.MsoTask(5)
     u, targets = _signal_and_targets(task)
     scores = mso._evaluate_guess(u, targets, task.split, TINY_GRID, leak, 0.7, 7)

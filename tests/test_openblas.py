@@ -150,3 +150,48 @@ def test_only_native_calls_native_code():
     imports = {path.stem: _imported_modules(path) for path in package.glob("*.py")}
     assert {name for name, found in imports.items() if "ctypes" in found} == {"_native"}
     assert not imports["mso"] & {"ctypes", "concurrent", "os", "threading"}
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier a source file names: variables, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _names_from(path: Path, module: str) -> set[str]:
+    """The names a package source file takes from its sibling ``module``.
+
+    Those it imports from it, and the attributes it reads of it after
+    ``from . import module``.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == module):
+            names.add(node.attr)
+    return names
+
+
+def test_one_path_builds_a_guess_and_the_cli_holds_no_native_policy():
+    # reservoir._guess_layers alone builds and solves a guess from
+    # hyperparameters; the CLI reaches the spectra through layer_spectra and
+    # leaves threads and BLAS to the library, so neither a second simulation
+    # path nor a second thread policy can grow back
+    package = Path(_native.__file__).parent
+    naming = {path.stem for path in package.glob("*.py")
+              if _names(path) & {"_layer_weights", "_solve_layers"}}
+    assert naming == {"reservoir"}
+    cli = package / "cli.py"
+    assert _names_from(cli, "_native") == {"require_half_memory"}
+    from_spectral = _names_from(cli, "spectral")
+    assert "layer_spectra" in from_spectral
+    assert not {name for name in from_spectral if name.startswith("_")}

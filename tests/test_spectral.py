@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import deepesn as de
+from deepesn import _native, spectral
 from deepesn.spectral import SpectrumReport
 
 
@@ -68,17 +69,15 @@ def test_magnitude_spectrum_errors():
 
 # ---------------------------------------------------------------- layer_spectra
 
-def _drive(reservoir, signal):
-    return de.run(reservoir, signal)
+def refuse(*args, **kwargs):
+    raise AssertionError("nothing may be simulated")
 
 
 def test_layer_spectra_peak_tracks_input_frequency():
     p = de.HyperParams(1, 20, leak_rate=0.9, spectral_radius_target=0.7, seed=33)
-    r = de.init_reservoir(p)
     t = np.arange(1, 1025)
     signal = np.sin(2 * np.pi * 32 * t / 512)  # exact bin after washout window
-    traj = de.run(r, signal)
-    report = de.layer_spectra([traj], washout=512)
+    report = de.layer_spectra(p, signal, guesses=1, washout=512)
     assert report.window == 512
     assert report.per_layer.shape == (1, 257)
     assert np.argmax(report.per_layer[0]) == 32
@@ -87,61 +86,70 @@ def test_layer_spectra_peak_tracks_input_frequency():
 
 def test_layer_spectra_normalization_and_echo():
     p = de.HyperParams(3, 4, leak_rate=0.9, spectral_radius_target=0.7, seed=2)
-    reservoirs = [de.init_reservoir(dataclasses.replace(p, seed=s)) for s in (2, 3)]
     u = de.generate_mso(de.MsoTask(5, length=400, split=de.SplitSpec(
         (1, 160), 40, (161, 280), (281, 400))))
-    trajs = [de.run(r, u) for r in reservoirs]
-    report = de.layer_spectra(trajs, washout=100, params=p)
+    report = de.layer_spectra(p, u, guesses=2, washout=100)
     assert report.guesses == 2
     assert report.washout == 100
     assert report.window == 300
     assert report.num_layers == 3
-    assert report.params == p
+    assert report.units_per_layer == 4
     np.testing.assert_allclose(report.per_layer.max(axis=1), 1.0, rtol=0)
     assert report.zero_units == 0
 
 
-def test_layer_spectra_zero_unit_diagnostics():
+def test_layer_spectra_zero_unit_diagnostics(monkeypatch):
     states = np.zeros((40, 2, 3))
     states[:, 0, :] = np.sin(0.5 * np.arange(40))[:, None]
     # layer 2 stays identically zero: its units skip normalization
-    report = de.layer_spectra([states], washout=4)
+    monkeypatch.setattr(spectral, "_guess_layers",
+                        lambda params, u: iter(np.moveaxis(states, 1, 0)))
+    report = de.layer_spectra(de.HyperParams(2, 3), np.ones(40), guesses=1, washout=4)
     assert report.zero_units == 3
     assert np.all(report.per_layer[1] == 0.0)
     assert np.isfinite(report.per_layer).all()
 
 
-def test_layer_spectra_holds_one_guess_at_a_time():
-    # a generator's trajectory is dropped once its curves are made, before
-    # the next one is built, and a layer is transformed at a time: five
-    # guesses peak where one does, under two guesses' states
+def test_layer_spectra_holds_one_guess_at_a_time(monkeypatch):
+    # a guess is dropped once its curves are made, before the next one is
+    # built, and a layer is solved and transformed at a time: on one thread
+    # five guesses peak where one does, under one guess's whole states
+    monkeypatch.setattr(_native, "_usable_cores", lambda: 1)
     steps, layers, units = 1000, 4, 50
     states_bytes = steps * layers * units * 8
+    p = de.HyperParams(layers, units, leak_rate=0.9, spectral_radius_target=0.7)
+    u = de.generate_mso(de.MsoTask(5))
 
     def peak(guesses):
-        rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            de.layer_spectra((rng.standard_normal((steps, layers, units))
-                              for _ in range(guesses)), washout=100)
+            de.layer_spectra(p, u, guesses, washout=100)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(5) < peak(1) + states_bytes / 2
-    assert peak(1) < 2 * states_bytes  # the full-array transform peaks near 2.4
+    peak(5)  # warm the caches and imports
+    assert peak(5) < peak(1) + states_bytes / 8
+    assert peak(1) < states_bytes  # 0.83 of it: two layers' states and one layer's transform
 
 
-def test_layer_spectra_errors():
-    states = np.zeros((10, 1, 2))
+def test_layer_spectra_errors(monkeypatch):
+    # every check runs before a guess is simulated
+    monkeypatch.setattr(spectral, "_guess_layers", refuse)
+    p, u = de.HyperParams(1, 2), np.ones(10)
     with pytest.raises(ValueError):
-        de.layer_spectra([], washout=0)
+        de.layer_spectra(p, u, guesses=0, washout=0)
     with pytest.raises(ValueError):
-        de.layer_spectra([states], washout=9)
+        de.layer_spectra(p, u, guesses=1, washout=9)  # one analysis step
     with pytest.raises(ValueError):
-        de.layer_spectra([states], washout=-1)
+        de.layer_spectra(p, u, guesses=1, washout=-1)
+    with pytest.raises(ValueError, match="seed"):  # guess 1 has no seed
+        de.layer_spectra(dataclasses.replace(p, seed=2 ** 64 - 1), u, guesses=2, washout=0)
     with pytest.raises(ValueError):
-        de.layer_spectra([states, np.zeros((10, 2, 2))], washout=0)
+        de.layer_spectra(p, np.ones((10, 2)), guesses=1, washout=0)  # input_dim is 1
+    monkeypatch.setattr(_native, "_physical_memory", lambda: 1000)
+    with pytest.raises(ValueError, match="spectrum guess"):
+        de.layer_spectra(p, u, guesses=1, washout=0)
 
 
 def test_no_harmonic_distortion_linear_reservoir():
@@ -217,11 +225,8 @@ def test_spike_metrics_ratio_orders_by_frequency():
 def test_spike_detection_on_reservoir_run():
     # moderate-size network, few guesses: all 12 spikes must be found
     p = de.HyperParams(4, 30, leak_rate=0.9, spectral_radius_target=0.7, seed=60)
-    reservoirs = [de.init_reservoir(dataclasses.replace(p, seed=60 + g))
-                  for g in range(3)]
     u = de.generate_mso(de.MsoTask(12))
-    trajs = [de.run(r, u) for r in reservoirs]
-    report = de.layer_spectra(trajs, washout=100)
+    report = de.layer_spectra(p, u, guesses=3, washout=100)
     metrics = de.spike_metrics(report, de.CANONICAL_PHIS)
     assert metrics.magnitudes.shape == (4, 12)
     assert bool(np.all(metrics.detected))

@@ -115,8 +115,8 @@ def test_analytic_filtering_ratio_falls_with_depth(analytic_ratios):
     assert analytic_ratios[-1] < 0.6
 
 
-def test_spike_metrics_match_the_analytic_ratios(reservoirs, analytic_ratios):
+def test_spike_metrics_match_the_analytic_ratios(analytic_ratios):
     u = de.generate_mso(de.MsoTask(12))
-    report = de.layer_spectra((de.run(r, u) for r in reservoirs), washout=100)
+    report = de.layer_spectra(ANALYSIS, u, GUESSES, washout=100)
     measured = de.spike_metrics(report, PHIS).filtering_ratio
     assert np.abs(measured / analytic_ratios - 1).max() <= SPIKE_RATIO_GAP
