@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .reservoir import DeepReservoir, _as_input_matrix, _readonly, effective_matrix, run
+from .reservoir import (DeepReservoir, _as_input_matrix, _readonly, _require_finite,
+                        effective_matrix, run)
 
 
 @dataclass(frozen=True)
@@ -106,13 +107,16 @@ def verify_equivalence(res: DeepReservoir, inputs, rel_tol: float) -> Equivalenc
     would test the depth of the network rather than the rewrite. An infinite
     ``rel_tol`` would pass any gap, so it must be finite and positive. Both
     systems run with OpenBLAS at one thread (``_native.one_thread``), so the
-    report is the same at any ``OPENBLAS_NUM_THREADS``.
+    report is the same at any ``OPENBLAS_NUM_THREADS``. It raises
+    ``RuntimeError``, not numpy's warnings, if either system diverges.
     """
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
-    with _native.one_thread():
+    with _native.one_thread(), np.errstate(over="ignore", invalid="ignore"):
         layered = run(res, inputs)
         flat = run_flat(flatten(res), inputs)
+    for states in (layered, flat):  # a diverged pair of trajectories checks nothing
+        _require_finite(states, res.params)
     gaps = np.abs(layered - flat)
     layer_gaps = gaps.max(axis=(0, 2))
     with np.errstate(divide="ignore", invalid="ignore"):

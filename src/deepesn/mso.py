@@ -228,32 +228,31 @@ def _score_states(states: np.ndarray, factors: Optional[np.ndarray], targets: np
                  for sl in (split.validation_slice, split.test_slice))
 
 
-def _records_from_scores(scale: float, leak: float, rho: float,
-                         lambdas: Sequence[float], val: np.ndarray,
-                         test: np.ndarray) -> list[ConfigResult]:
-    records = []
-    for j, lam in enumerate(lambdas):
-        records.append(ConfigResult(
-            input_scale=scale, leak_rate=leak, spectral_radius=rho,
-            ridge_lambda=float(lam),
-            per_guess_val=tuple(float(x) for x in val[:, j]),
-            per_guess_test=tuple(float(x) for x in test[:, j]),
-            mean_val_nrmse=_mean(val[:, j]),
-            std_val_nrmse=_std(val[:, j]),
-            mean_test_nrmse=_mean(test[:, j]),
-            std_test_nrmse=_std(test[:, j]),
-        ))
-    return records
+def _scale_records(scale: float, leak: float, rho: float, lambdas: Sequence[float],
+                   scores: list) -> list[ConfigResult]:
+    """One input scale's records of a (leak, radius) pair, from its guesses' scores.
 
-
-def _error_record(scale: float, leak: float, rho: float, exc: Exception) -> ConfigResult:
-    return ConfigResult(
-        input_scale=scale, leak_rate=leak, spectral_radius=rho,
-        ridge_lambda=float("nan"), per_guess_val=(), per_guess_test=(),
-        mean_val_nrmse=float("nan"), std_val_nrmse=float("nan"),
-        mean_test_nrmse=float("nan"), std_test_nrmse=float("nan"),
-        error=f"{type(exc).__name__}: {exc}",
-    )
+    ``scores`` holds each guess's ``_evaluate_guess`` entry for the scale, in
+    guess order: one record per lambda, or, if a guess failed, one error
+    record carrying the first failure in guess order.
+    """
+    failure = next((s for s in scores if isinstance(s, Exception)), None)
+    if failure is not None:
+        nan = float("nan")
+        return [ConfigResult(
+            input_scale=scale, leak_rate=leak, spectral_radius=rho, ridge_lambda=nan,
+            per_guess_val=(), per_guess_test=(), mean_val_nrmse=nan, std_val_nrmse=nan,
+            mean_test_nrmse=nan, std_test_nrmse=nan,
+            error=f"{type(failure).__name__}: {failure}",
+        )]
+    val, test = (np.array(rows) for rows in zip(*scores))
+    return [ConfigResult(
+        input_scale=scale, leak_rate=leak, spectral_radius=rho, ridge_lambda=float(lam),
+        per_guess_val=tuple(float(x) for x in val[:, j]),
+        per_guess_test=tuple(float(x) for x in test[:, j]),
+        mean_val_nrmse=_mean(val[:, j]), std_val_nrmse=_std(val[:, j]),
+        mean_test_nrmse=_mean(test[:, j]), std_test_nrmse=_std(test[:, j]),
+    ) for j, lam in enumerate(lambdas)]
 
 
 def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: GridSpec,
@@ -322,53 +321,34 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
     return scores
 
 
-def _evaluate_pair(task: MsoTask, grid: GridSpec, leak: float, rho: float,
-                   map_guesses: Callable = map) -> list[tuple[float, list[ConfigResult]]]:
-    """All input-scale variants of one (leak, radius) grid point.
-
-    ``map_guesses`` maps the per-guess evaluation over the seeds base_seed +
-    g in order. A scale with a failed guess yields one error record, carrying
-    the first failure in guess order.
-    """
-    u, targets = _signal_and_targets(task)
-    evaluate = functools.partial(_evaluate_guess, u, targets, task.split, grid, leak, rho)
-    per_guess = list(map_guesses(evaluate, range(grid.base_seed,
-                                                 grid.base_seed + grid.guesses)))
-    out = []
-    for k, scale in enumerate(grid.input_scales):
-        scores = [guess[k] for guess in per_guess]
-        failure = next((s for s in scores if isinstance(s, Exception)), None)
-        if failure is not None:
-            out.append((scale, [_error_record(scale, leak, rho, failure)]))
-            continue
-        val, test = (np.array(rows) for rows in zip(*scores))
-        out.append((scale, _records_from_scores(scale, leak, rho, grid.ridge_lambdas,
-                                                val, test)))
-    return out
-
-
 def grid_search(task: MsoTask, grid: GridSpec,
                 on_result: Optional[Callable[[ConfigResult], None]] = None) -> ExperimentResult:
     """Exhaustive sweep over the grid with deterministic selection.
 
-    (leak, radius) pairs run in order; ``on_result`` gets each pair's records
-    as soon as it finishes (useful for crash-safe streaming). The returned
-    records are in canonical (scale, leak, radius, lambda) order and the
-    selection is the first minimum of the mean validation NRMSE. Failed
-    combinations are recorded with an error marker and excluded from
-    selection. Each pair's guesses run on ``_native.guess_map``.
+    The signal is built once. (leak, radius) pairs run in order, a pair's
+    guesses (seeds base_seed + g) scored by ``_evaluate_guess`` on the sweep's
+    ``_native.guess_map``. Then each input scale's records (``_scale_records``)
+    join that scale's list and, scale by scale, go to ``on_result`` (useful
+    for crash-safe streaming). The lists joined are in canonical (scale, leak,
+    radius, lambda) order; the selection is the first minimum of the mean
+    validation NRMSE. Failed combinations are error records, not selected.
     """
-    by_pair = []
+    u, targets = _signal_and_targets(task)
+    seeds = range(grid.base_seed, grid.base_seed + grid.guesses)
+    per_scale = [[] for _ in grid.input_scales]
     with _native.guess_map(grid.guesses) as map_guesses:
         for leak in grid.leak_rates:
             for rho in grid.spectral_radii:
-                by_pair.append(_evaluate_pair(task, grid, leak, rho, map_guesses))
-                if on_result is not None:
-                    for _, recs in by_pair[-1]:
+                per_guess = list(map_guesses(functools.partial(
+                    _evaluate_guess, u, targets, task.split, grid, leak, rho), seeds))
+                for k, scale in enumerate(grid.input_scales):
+                    recs = _scale_records(scale, leak, rho, grid.ridge_lambdas,
+                                          [guess[k] for guess in per_guess])
+                    per_scale[k] += recs
+                    if on_result is not None:
                         for rec in recs:
                             on_result(rec)
-    records = [rec for k in range(len(grid.input_scales))
-               for pair in by_pair for rec in pair[k][1]]
+    records = [rec for recs in per_scale for rec in recs]
 
     selected = min((rec for rec in records if rec.error is None),
                    key=lambda rec: rec.mean_val_nrmse, default=None)

@@ -442,6 +442,15 @@ def _guess_layers(params: HyperParams, u: np.ndarray,
     return _solve_layers(weights, u, params.leak_rate, out)
 
 
+def _require_finite(values: np.ndarray, params: HyperParams,
+                    what: str = "reservoir states") -> None:
+    """Refuse the states of a diverged reservoir, or what overflowed from them."""
+    if not np.isfinite(values).all():
+        raise RuntimeError(f"non-finite {what} for input_scale={params.input_scale} "
+                           f"leak_rate={params.leak_rate} "
+                           f"spectral_radius={params.spectral_radius_target} seed={params.seed}")
+
+
 def run(res: DeepReservoir, inputs) -> np.ndarray:
     """Drive the reservoir from the zero state through an input sequence.
 

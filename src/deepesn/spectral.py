@@ -15,13 +15,13 @@ Frequencies are in cycles per step (0 to 0.5); a sine of angular frequency
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _native
 from .reservoir import (HyperParams, _as_input_matrix, _guess_bytes, _guess_layers, _is_int,
-                        _readonly)
+                        _readonly, _require_finite)
 
 #: Half-width (in bins) of the window searched around an expected spike bin;
 #: covers rectangular-window leakage of near-bin sinusoids.
@@ -84,23 +84,28 @@ def magnitude_spectrum(signal) -> np.ndarray:
     return np.abs(np.fft.rfft(x))
 
 
-def _guess_curves(layers: Iterable[np.ndarray], washout: int) -> tuple[np.ndarray, int]:
-    """One guess's per-layer ``(curves, zero_units)``.
+def _guess_curves(params: HyperParams, u: np.ndarray, washout: int) -> tuple[np.ndarray, int]:
+    """Per-layer ``(curves, zero_units)`` of the guess ``params`` builds, driven by ``u``.
 
-    ``layers`` gives each layer's ``(steps, units)`` states, layer 1 first.
     ``curves[i]`` is layer i+1's mean over units of each unit's magnitude
     spectrum after the washout, normalized to max 1; identically-zero unit
-    series skip normalization and are counted in ``zero_units``. Each layer
-    is read once and dropped, so a generator of layers keeps one layer's
-    states and spectra alive here.
+    series skip normalization and are counted in ``zero_units``. The guess
+    is solved a layer at a time (``_guess_layers``), and each layer is
+    transformed and dropped before the next is solved. A layer with a
+    non-finite state or spectrum fails the guess with a ``RuntimeError``;
+    numpy's overflow and invalid-value warnings are off, here on the pool
+    thread (numpy 2 keeps that setting per thread), as that error reports it.
     """
     curves, zero_units = [], 0
-    for states in layers:
-        mags = np.abs(np.fft.rfft(states[washout:], axis=0))  # (bins, units)
-        peaks = mags.max(axis=0, keepdims=True)
-        zero_units += int(np.count_nonzero(peaks == 0.0))
-        normalized = np.divide(mags, peaks, out=np.zeros_like(mags), where=peaks > 0)
-        curves.append(normalized.mean(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for states in _guess_layers(params, u):
+            _require_finite(states, params)
+            mags = np.abs(np.fft.rfft(states[washout:], axis=0))  # (bins, units)
+            _require_finite(mags, params, "state spectra")  # finite states near 1e306 overflow
+            peaks = mags.max(axis=0, keepdims=True)
+            zero_units += int(np.count_nonzero(peaks == 0.0))
+            normalized = np.divide(mags, peaks, out=np.zeros_like(mags), where=peaks > 0)
+            curves.append(normalized.mean(axis=1))
     return np.array(curves), zero_units
 
 
@@ -119,7 +124,8 @@ def layer_spectra(params: HyperParams, inputs, guesses: int, washout: int) -> Sp
     simulated. The guesses run on ``_native.guess_map``: each thread builds,
     solves and transforms a guess one layer at a time (``_guess_layers``) and
     keeps only its curves, which are added in guess order, so the report is
-    the same for any thread count.
+    the same for any thread count. A guess whose states or spectra are not
+    finite raises ``RuntimeError``: its curves would say nothing.
     """
     u = _as_input_matrix(inputs, params.input_dim)
     steps = u.shape[0]
@@ -134,13 +140,11 @@ def layer_spectra(params: HyperParams, inputs, guesses: int, washout: int) -> Sp
         f"one {params.num_layers}x{params.units_per_layer} spectrum guess",
         _guess_bytes(2, params.units_per_layer, steps))
 
-    def curves(seed: int) -> tuple[np.ndarray, int]:
-        return _guess_curves(_guess_layers(replace(params, seed=seed), u), washout)
-
     total, zero_units = 0.0, 0
     with _native.guess_map(guesses) as map_guesses:
-        for guess_curves, zeros in map_guesses(curves, range(params.seed,
-                                                             params.seed + guesses)):
+        for guess_curves, zeros in map_guesses(
+                lambda seed: _guess_curves(replace(params, seed=seed), u, washout),
+                range(params.seed, params.seed + guesses)):
             total += guess_curves
             zero_units += zeros
     per_layer = total / guesses

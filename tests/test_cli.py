@@ -1,6 +1,7 @@
 import contextlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -603,6 +604,26 @@ def test_analyses_reject_bad_values_before_writing(tmp_path, capsys, monkeypatch
     out = tmp_path / "analysis"
     assert main([*argv, "--out", str(out)]) == 2
     assert "error: config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--task", "mso5", "--layers", "3", "--units", "20", "--rho", "50",
+     "--guesses", "2"],
+    ["spectrum", "--task", "mso12", "--layers", "2", "--units", "3", "--scale-in", "1e300",
+     "--guesses", "2"],  # layer 1 stays finite, layer 2 does not
+    ["verify-flat", "--layers", "3", "--units", "20", "--rho", "50", "--steps", "1000"],
+    ["verify-flat", "--layers", "2", "--units", "3", "--scale-in", "1e300"],
+])
+def test_analyses_refuse_divergent_states(tmp_path, capsys, argv):
+    # spectra or gaps of a diverged reservoir say nothing: the analyses exit 1
+    # and write nothing, and the error reports it, not numpy's warnings from
+    # the pool threads
+    out = tmp_path / "analysis"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 1
+    assert "error: runtime: non-finite reservoir states" in capsys.readouterr().err
     assert not out.exists()
 
 

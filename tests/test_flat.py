@@ -159,6 +159,17 @@ def test_verify_equivalence_rejects_bad_tol(small_reservoir):
             de.verify_equivalence(small_reservoir, np.ones(5), rel_tol=tol)
 
 
+@pytest.mark.parametrize("params, steps", [
+    (de.HyperParams(3, 20, leak_rate=0.9, spectral_radius_target=50.0), 1000),
+    (de.HyperParams(2, 3, input_scale=1e300, leak_rate=0.9, spectral_radius_target=0.7), 200),
+])
+def test_verify_equivalence_refuses_diverged_trajectories(params, steps):
+    # NaN gaps would compare as neither pass nor fail: a diverged pair checks nothing
+    u = de.generate_mso(de.MsoTask(12))[:steps]
+    with pytest.raises(RuntimeError, match="non-finite reservoir states"):
+        de.verify_equivalence(de.init_reservoir(params), u, rel_tol=1e-12)
+
+
 def test_verify_equivalence_does_not_depend_on_blas_threads():
     # the check runs both systems with OpenBLAS at one thread and restores
     # the count; at 3x300 the products round otherwise on two threads

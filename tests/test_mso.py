@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import deepesn as de
 from deepesn import _native, mso
 from deepesn import reservoir as rc
-from deepesn.mso import _evaluate_pair, _mean, _signal_and_targets, _std
+from deepesn.mso import _mean, _signal_and_targets, _std
 
 PHIS = (0.2, 0.331, 0.42, 0.51, 0.63, 0.74, 0.85, 0.97, 1.08, 1.19, 1.27, 1.32)
 
@@ -179,12 +179,13 @@ def test_grid_search_matches_hand_pipeline():
         assert rec.per_guess_test == tuple(test[:, j])
 
 
-def test_evaluate_pair_matches_hand_pipeline():
-    # the one config evaluator, _evaluate_pair, at unit input scale: bitwise
-    # agreement with run + fit_ridge per guess
+def test_one_pair_grid_matches_hand_pipeline():
+    # a one-pair grid at unit input scale: bitwise agreement with run +
+    # fit_ridge per guess
     task = de.MsoTask(5)
     grid = dataclasses.replace(SMALL_GRID, ridge_lambdas=(1e-6,), base_seed=3)
-    [(scale, records)] = _evaluate_pair(task, grid, 0.9, 0.7)
+    records = de.grid_search(task, grid).records
+    [scale] = {rec.input_scale for rec in records}
     assert scale == 1.0
     val, test = _hand_scores(task, SMALL_PARAMS, (1e-6,), 2, base_seed=3)
     assert records[0].per_guess_val == tuple(val[:, 0])
@@ -209,12 +210,12 @@ def test_grid_search_matches_hand_pipeline_wide():
         assert rec.per_guess_test == tuple(test[:, j])
 
 
-def test_evaluate_pair_matches_hand_pipeline_wide():
+def test_one_pair_grid_matches_hand_pipeline_wide():
     task = de.MsoTask(5)
     grid = dataclasses.replace(SMALL_GRID, units_per_layer=200, ridge_lambdas=(1e-6,),
                                base_seed=3)
-    with _native.one_thread():  # _evaluate_pair maps the guesses in this thread
-        [(scale, records)] = _evaluate_pair(task, grid, 0.9, 0.7)
+    records = de.grid_search(task, grid).records
+    with _native.one_thread():  # as grid_search's guess map scores the guesses
         val, test = _hand_scores(task, WIDE_PARAMS, (1e-6,), 2, base_seed=3)
     assert records[0].per_guess_val == tuple(val[:, 0])
     assert records[0].per_guess_test == tuple(test[:, 0])
@@ -506,20 +507,13 @@ def test_grid_search_selection_is_first_minimum():
     assert result.selected_test_nrmse == first.mean_test_nrmse
 
 
-def test_grid_search_single_config_echoes_evaluate_config():
-    # a one-point grid returns the direct evaluation of that point, bit for bit
-    result = de.grid_search(de.MsoTask(5), SMALL_GRID)
-    [(_, records)] = _evaluate_pair(de.MsoTask(5), SMALL_GRID, 0.9, 0.7)
-    assert result.records == tuple(records)
-    assert result.selected == min(records, key=lambda r: r.mean_val_nrmse)
-
-
 def test_grid_scale_sharing_matches_direct_runs():
     # derived input-scale states vs direct per-scale runs: same results up to
     # floating-point path differences, far below any decision threshold
     task = de.MsoTask(5)
-    recs = {scale: records for scale, records in
-            _evaluate_pair(task, TINY_GRID, 0.9, 0.7)}
+    one_pair = de.grid_search(task, dataclasses.replace(TINY_GRID, spectral_radii=(0.7,)))
+    recs = {scale: [r for r in one_pair.records if r.input_scale == scale]
+            for scale in TINY_GRID.input_scales}
     params = dataclasses.replace(SMALL_PARAMS, units_per_layer=5, input_scale=0.1)
     val, test = _hand_scores(task, params, TINY_GRID.ridge_lambdas, 2, base_seed=7)
     for j in range(2):

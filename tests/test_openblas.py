@@ -181,15 +181,28 @@ def _names_from(path: Path, module: str) -> set[str]:
     return names
 
 
+def _callers(path: Path, name: str) -> set[str]:
+    """The functions of a source file that call ``name``."""
+    return {func.name for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name}
+
+
 def test_one_path_builds_a_guess_and_the_cli_holds_no_native_policy():
     # reservoir._guess_layers alone builds and solves a guess from
-    # hyperparameters; the CLI reaches the spectra through layer_spectra and
-    # leaves threads and BLAS to the library, so neither a second simulation
-    # path nor a second thread policy can grow back
+    # hyperparameters, and mso._scale_records alone makes grid records; the
+    # CLI reaches the spectra through layer_spectra and leaves threads and
+    # BLAS to the library, so neither a second simulation or record path nor
+    # a second thread policy can grow back
     package = Path(_native.__file__).parent
     naming = {path.stem for path in package.glob("*.py")
               if _names(path) & {"_layer_weights", "_solve_layers"}}
     assert naming == {"reservoir"}
+    records = {(path.stem, func) for path in package.glob("*.py")
+               for func in _callers(path, "ConfigResult")}
+    assert records == {("mso", "_scale_records")}
     cli = package / "cli.py"
     assert _names_from(cli, "_native") == {"require_half_memory"}
     from_spectral = _names_from(cli, "spectral")

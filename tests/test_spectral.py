@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ def test_layer_spectra_errors(monkeypatch):
     monkeypatch.setattr(_native, "_physical_memory", lambda: 1000)
     with pytest.raises(ValueError, match="spectrum guess"):
         de.layer_spectra(p, u, guesses=1, washout=0)
+
+
+@pytest.mark.parametrize("params, error", [
+    (de.HyperParams(3, 20, leak_rate=0.9, spectral_radius_target=50.0, seed=4),
+     "non-finite reservoir states for input_scale=1.0 leak_rate=0.9 spectral_radius=50.0 "
+     "seed=4"),
+    # finite states whose sums over 900 steps overflow
+    (de.HyperParams(1, 3, input_scale=1e306, leak_rate=0.9, spectral_radius_target=0.7),
+     r"non-finite state spectra for input_scale=1e\+306 leak_rate=0.9"),
+])
+def test_layer_spectra_refuses_non_finite_states(params, error):
+    # a diverged unit series would read as a zero spectrum; the guess fails
+    # instead, and its error, not numpy's warnings, reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=error):
+            de.layer_spectra(params, de.generate_mso(de.MsoTask(5)), guesses=2, washout=100)
 
 
 def test_no_harmonic_distortion_linear_reservoir():
