@@ -6,7 +6,8 @@ class DegenerateConfigurationError(ValueError):
 
     Raised by ``HyperParams`` for leak_rate == 0: the effective layer matrix
     collapses to the identity and spectral-radius rescaling has no degree of
-    freedom.
+    freedom. Raised where the weights are built when the leak rate is so
+    small that the recurrent matrix overflows when divided by it.
     """
 
 

@@ -26,7 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -191,17 +191,14 @@ def _recurrent_base(seed: int, layer: int, n_units: int, attempt: int):
     return rho_raw, _readonly(eigvals / rho_raw)
 
 
-def _scaled_recurrent(params: HyperParams, layer: int) -> np.ndarray:
-    """Layer ``layer``'s (1-based) recurrent matrix What, writable.
+def _scaling(params: HyperParams, layer: int) -> tuple[int, float, float]:
+    """``(attempt, rho_raw, rho_eff)`` of layer ``layer``'s (1-based) first scalable draw.
 
-    Its effective matrix has spectral radius ``spectral_radius_target``.
-    Rescaling acts on the effective matrix: with M = (1-a) I + a base,
-    the result is What = (M * rho_target / rho(M) - (1-a) I) / a. The
-    spectral radius of M is evaluated from the cached base eigenvalues, and
-    every step works in place on the redrawn matrix.
+    ``rho_raw`` is the raw draw's spectral radius and ``rho_eff`` that of the
+    effective matrix M = (1-a) I + a base, evaluated from the cached base
+    eigenvalues. This is the only step of a layer's weights that reads them.
     """
     seed, n_units, a = int(params.seed), params.units_per_layer, params.leak_rate
-    rho_target = params.spectral_radius_target
     for attempt in range(MAX_DRAW_ATTEMPTS):
         cached = _recurrent_base(seed, layer, n_units, attempt)
         if cached is None:
@@ -210,19 +207,46 @@ def _scaled_recurrent(params: HyperParams, layer: int) -> np.ndarray:
         rho_eff = float(np.max(np.abs((1.0 - a) + a * base_eigvals)))
         if rho_eff < MIN_SCALABLE_RADIUS:
             continue
-        m = _recurrent_raw(seed, layer, n_units, attempt)
-        m /= rho_raw
-        m *= a
-        m.flat[:: n_units + 1] += 1.0 - a
-        m *= rho_target / rho_eff
-        m.flat[:: n_units + 1] -= 1.0 - a
-        m /= a
-        return m
+        return attempt, rho_raw, rho_eff
     raise UnscalableMatrixError(
         f"layer {layer}: effective matrix spectral radius below "
         f"{MIN_SCALABLE_RADIUS} for {MAX_DRAW_ATTEMPTS} consecutive draws "
         f"(seed={seed}, leak_rate={a})"
     )
+
+
+def _rescaled(params: HyperParams, layer: int, scaling: tuple[int, float, float]) -> np.ndarray:
+    """Layer ``layer``'s (1-based) recurrent matrix What from its ``_scaling``, writable.
+
+    Its effective matrix has spectral radius ``spectral_radius_target``:
+    with M = (1-a) I + a base, What = (M * rho_target / rho(M) - (1-a) I) / a,
+    every step in place on the redrawn matrix. A leak rate so small that
+    What overflows raises ``DegenerateConfigurationError``.
+    """
+    attempt, rho_raw, rho_eff = scaling
+    n_units, a = params.units_per_layer, params.leak_rate
+    m = _recurrent_raw(int(params.seed), layer, n_units, attempt)
+    m /= rho_raw
+    m *= a
+    m.flat[:: n_units + 1] += 1.0 - a
+    m *= params.spectral_radius_target / rho_eff
+    m.flat[:: n_units + 1] -= 1.0 - a
+    with np.errstate(over="ignore"):
+        m /= a
+    if not np.isfinite(m).all():
+        raise DegenerateConfigurationError(
+            f"leak_rate={a} is too small: the recurrent matrix of layer {layer} "
+            f"overflows when divided by it")
+    return m
+
+
+def _effective(params: HyperParams, layer: int, scaling: tuple[int, float, float]) -> np.ndarray:
+    """Layer ``layer``'s effective matrix M, read-only, from its ``_scaling``.
+
+    M is built by ``_to_effective`` in the buffer that holds What, so no
+    guess holds both, and has the bits of ``effective_matrix(What, a)``.
+    """
+    return _readonly(_to_effective(_rescaled(params, layer, scaling), params.leak_rate))
 
 
 def _drive(params: HyperParams, layer: int) -> np.ndarray:
@@ -236,14 +260,15 @@ def _drive(params: HyperParams, layer: int) -> np.ndarray:
     return _readonly(params.input_scale * raw)
 
 
-def _layer_weights(params: HyperParams, layer: int) -> tuple[np.ndarray, np.ndarray]:
-    """Layer ``layer``'s (1-based) drive and effective matrix M, read-only.
+def _layer_weights(params: HyperParams,
+                   layer: int) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """Layer ``layer``'s (1-based) read-only drive, and a ``build`` of its effective matrix.
 
-    M is built by ``_to_effective`` in the buffer that holds What, so no
-    guess holds both, and has the bits of ``effective_matrix(What, a)``.
+    Each ``build()`` returns a fresh M (``_effective``). The scaling is found
+    here, once, so a ``build`` only redraws and rescales: it never solves an
+    eigenproblem, and ``_linear_scan`` may drop M and build it again.
     """
-    m = _to_effective(_scaled_recurrent(params, layer), params.leak_rate)
-    return _drive(params, layer), _readonly(m)
+    return _drive(params, layer), partial(_effective, params, layer, _scaling(params, layer))
 
 
 def init_reservoir(params: HyperParams) -> DeepReservoir:
@@ -254,15 +279,16 @@ def init_reservoir(params: HyperParams) -> DeepReservoir:
     so the substreams are scale-independent). Recurrent weights are drawn,
     normalized, and rescaled so that every layer's effective matrix has
     spectral radius exactly ``spectral_radius_target``. No bias terms.
-    Each layer's drive comes from ``_drive`` and its What from
-    ``_scaled_recurrent``, as in ``_guess_layers``, which builds and solves
-    a guess without a ``DeepReservoir``.
+    Each layer's drive comes from ``_drive`` and its What from ``_scaling``
+    and ``_rescaled``, as in ``_guess_layers``, which builds and solves a
+    guess without a ``DeepReservoir``.
     """
     layers = range(1, params.num_layers + 1)
     drives = tuple(_drive(params, layer) for layer in layers)
     return DeepReservoir(input_weights=drives[0], inter_layer_weights=drives[1:],
-                         recurrent_weights=tuple(_readonly(_scaled_recurrent(params, layer))
-                                                 for layer in layers),
+                         recurrent_weights=tuple(
+                             _readonly(_rescaled(params, layer, _scaling(params, layer)))
+                             for layer in layers),
                          params=params)
 
 
@@ -281,6 +307,8 @@ def step(res: DeepReservoir, state: np.ndarray, input_vector: np.ndarray) -> np.
         )
     if u.shape != (p.input_dim,):
         raise ValueError(f"input must have {p.input_dim} components, got {u.shape}")
+    if not np.isfinite(u).all():
+        raise ValueError("inputs must be finite")
     a = p.leak_rate
     new = np.empty_like(state)
     pre = res.input_weights @ u + res.recurrent_weights[0] @ state[0]
@@ -292,6 +320,7 @@ def step(res: DeepReservoir, state: np.ndarray, input_vector: np.ndarray) -> np.
 
 
 def _as_input_matrix(inputs, input_dim: int) -> np.ndarray:
+    """``inputs`` as a finite, nonempty ``(steps, input_dim)`` float matrix."""
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
@@ -299,6 +328,8 @@ def _as_input_matrix(inputs, input_dim: int) -> np.ndarray:
         raise ValueError(f"inputs must have shape (steps, {input_dim}), got {u.shape}")
     if u.shape[0] == 0:
         raise ValueError("input sequence must be nonempty")
+    if not np.isfinite(u).all():
+        raise ValueError("inputs must be finite")
     return u
 
 
@@ -306,7 +337,9 @@ def _matrix_power(m: np.ndarray, e: int) -> np.ndarray:
     """``m ** e`` for ``e >= 1`` by left-to-right repeated squaring; ``m`` is only read.
 
     Besides ``m`` it holds at most two buffers, the power so far and the
-    next, and one at ``e = 2``. At ``e = 1`` it returns ``m`` itself.
+    next, and one at ``e = 2``. At ``e = 1`` it returns ``m`` itself. Where
+    ``e >= 4`` is a power of two, ``_linear_scan`` squares on its own: then
+    only the first squaring reads ``m``, and ``m`` can go before the rest.
     """
     r = m
     for bit in bin(e)[3:]:
@@ -359,72 +392,91 @@ def _guess_bytes(layers: int, units: int, steps: int) -> int:
     """Estimated peak bytes of one guess of ``layers`` x ``units`` over ``steps`` inputs.
 
     A guess holds its ``(steps, layers, units)`` states. While a layer is
-    solved it also holds k N x N matrices (N = ``units``): M and
-    ``_matrix_power``'s buffers, k = 3 at chunk length b >= 3 and 2 at
-    b = 2. k is 2 at b = 1 too: a layer's M and its drive are held together
-    once built, and on a cold weight cache a draw and ``dgeev``'s copy of
-    it. While it is scored it holds the readout's rows: the scored range
-    times the layer weights and the factorization's copy of it, counted as
-    one more block the size of the states. The sum bounds both phases
-    (tracemalloc peaks, ``tests/test_mso.py``).
+    solved it also holds k N x N matrices (N = ``units``): k = 2 where the
+    chunk length b is a power of two (every b picked at N >= 100), as
+    ``_linear_scan`` then holds two powers of M at a time, or M and M^2;
+    k = 3 otherwise, M beside ``_matrix_power``'s two buffers. k = 2 covers
+    b = 1 too: a layer's M and its drive are held together once built, and
+    on a cold weight cache a draw and ``dgeev``'s copy of it. While it is
+    scored it holds the readout's rows: the scored range times the layer
+    weights and the factorization's copy of it, counted as one more block
+    the size of the states. The sum bounds both phases (tracemalloc peaks,
+    ``tests/test_mso.py``).
     """
-    k = 3 if _chunk_length(steps, units) >= 3 else 2
+    b = _chunk_length(steps, units)
+    k = 3 if b & (b - 1) else 2
     return 8 * (2 * steps * layers * units + k * units * units)
 
 
-def _linear_scan(x: np.ndarray, m: np.ndarray, b: int) -> None:
+def _linear_scan(x: np.ndarray, build: Callable[[], np.ndarray], b: int) -> None:
     """Solve ``x_t = M x_{t-1} + d_t`` from ``x_{-1} = 0`` in place; ``x`` holds d.
 
-    A blocked scan over chunks of ``b`` rows (Martin & Cundy, arXiv
-    1709.04057; ``_chunk_length`` picks ``b``): every chunk first runs from a
-    zero start, all chunks at once; the chunk-end states are then carried
-    through ``M^b``; last, each chunk adds ``M^(k+1)`` times the state before
-    it to its row ``k``. Each row only ever reads earlier rows, so the scan
-    stays causal.
+    ``build()`` returns M. A blocked scan over chunks of ``b`` rows (Martin &
+    Cundy, arXiv 1709.04057; ``_chunk_length`` picks ``b``): every chunk
+    first runs from a zero start, all chunks at once; the chunk-end states
+    are then carried through ``M^b``; last, each chunk adds ``M^(k+1)`` times
+    the state before it to its row ``k``. Each row only ever reads earlier
+    rows, so the scan stays causal.
+
+    Where ``b >= 4`` is a power of two, ``M^b`` is formed by squarings alone,
+    and only the first reads M: M is dropped after it and built again after
+    the carries (rematerialization, Chen et al., arXiv 1604.06174), so the
+    scan holds at most two N x N matrices at a time, with the same bits. At
+    ``b <= 2`` dropping M would lower no peak, and the odd bits of any other
+    ``b`` read M, so M is built once and kept: three matrices at ``b >= 3``.
     """
     steps = x.shape[0]
-    mt = m.T
+    m = build()
     for k in range(1, b):
         rows = x[k::b]
-        rows += x[k - 1::b][: len(rows)] @ mt
+        rows += x[k - 1::b][: len(rows)] @ m.T
     if steps <= b:
         return
     ends = x[b - 1::b]
-    carry = _matrix_power(m, b)
+    if b < 4 or b & (b - 1):
+        carry = _matrix_power(m, b)
+    else:
+        carry, m = m @ m, None
+        for _ in range(b.bit_length() - 2):
+            carry = carry @ carry
     for c in range(1, len(ends)):
         ends[c] += carry @ ends[c - 1]
+    if m is None:
+        del carry
+        m = build()
     z = ends[: len(x[b::b])]
     for k in range(b - 1):
         rows = x[b + k::b]
-        z = z[: len(rows)] @ mt
+        z = z[: len(rows)] @ m.T
         rows += z
 
 
-def _solve_layers(layers: Iterable[tuple[np.ndarray, np.ndarray]], u: np.ndarray,
-                  leak_rate: float, out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+def _solve_layers(layers: Iterable[tuple[np.ndarray, Callable[[], np.ndarray]]],
+                  u: np.ndarray, leak_rate: float,
+                  out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
     """Each layer's ``(steps, units)`` states, solved from the layer below.
 
-    ``layers`` gives each layer's ``(drive, M)`` pair, M its effective
-    matrix, layer 1 first (as ``_layer_weights`` builds them); layer 1 is
-    driven by the ``(steps, input_dim)`` matrix ``u``. A layer's drive is one
-    matrix product over all steps, scaled by the leak rate, and its
-    recurrence ``x_t = M x_{t-1} + a d_t`` is solved in place with a blocked
-    scan that reads M and copies nothing of it. Layer ``i``'s states go into
+    ``layers`` gives each layer's ``(drive, build)`` pair, ``build()``
+    returning a fresh copy of its effective matrix M, layer 1 first (as
+    ``_layer_weights`` gives them); layer 1 is driven by the ``(steps,
+    input_dim)`` matrix ``u``. A layer's drive is one matrix product over
+    all steps, scaled by the leak rate, and its recurrence ``x_t = M x_{t-1}
+    + a d_t`` is solved in place by ``_linear_scan``, which builds M, copies
+    nothing of it and may build it twice. Layer ``i``'s states go into
     ``out[:, i]`` when ``out`` is given and into a new array otherwise. Only
     the layer being solved and the one driving it are held here; a layer's
-    drive is dropped once its product is taken, before the scan, and M once
-    the layer is solved, so a lazy ``layers`` keeps memory independent of
-    depth.
+    drive is dropped once its product is taken, before M is built, and M
+    once the layer is solved, so a lazy ``layers`` keeps memory independent
+    of depth.
     """
     src, chunk, i = u, None, 0
-    for w_drive, m in layers:  # not enumerate: its reused tuple would keep the pair
+    for w_drive, build in layers:  # not enumerate: its reused tuple would keep the pair
         x = np.matmul(src, w_drive.T, out=None if out is None else out[:, i])
         del w_drive
         x *= leak_rate
         if chunk is None:
-            chunk = _chunk_length(u.shape[0], m.shape[0])
-        _linear_scan(x, m, chunk)
-        del m
+            chunk = _chunk_length(u.shape[0], x.shape[1])
+        _linear_scan(x, build, chunk)
         src, i = x, i + 1
         yield x
 
@@ -461,15 +513,15 @@ def run(res: DeepReservoir, inputs) -> np.ndarray:
     first.
 
     Layers are swept one at a time by ``_solve_layers``, each from its
-    effective matrix, built when the layer starts: layer ``i - 1``'s whole
-    trajectory is known before layer ``i`` starts, because it only feeds
-    forward. The result equals repeated ``step`` up to rounding, not
+    effective matrix, built from What when the layer starts: layer
+    ``i - 1``'s whole trajectory is known before layer ``i`` starts, because
+    it only feeds forward. The result equals repeated ``step`` up to rounding, not
     bit for bit: the products are summed in another order.
     """
     p = res.params
     u = _as_input_matrix(inputs, p.input_dim)
     out = np.empty((u.shape[0], p.num_layers, p.units_per_layer))
-    layers = ((drive, effective_matrix(w, p.leak_rate)) for drive, w in
+    layers = ((drive, partial(effective_matrix, w, p.leak_rate)) for drive, w in
               zip((res.input_weights,) + res.inter_layer_weights, res.recurrent_weights))
     for _ in _solve_layers(layers, u, p.leak_rate, out):
         pass

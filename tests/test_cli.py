@@ -627,6 +627,32 @@ def test_analyses_refuse_divergent_states(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--layers", "2", "--units", "3", "--leak", "1e-310", "--guesses", "2"],
+    ["verify-flat", "--layers", "2", "--units", "3", "--leak", "1e-310"],
+])
+def test_analyses_refuse_a_leak_rate_whose_weights_overflow(tmp_path, capsys, argv):
+    # at leak 1e-310 dividing by a overflows What: the weights are refused
+    # before a layer is scanned, and the error names the leak rate
+    out = tmp_path / "analysis"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 2
+    assert "error: config: leak_rate=1e-310" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_records_a_leak_rate_whose_weights_overflow(tmp_path):
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--single", "--task", "mso5", "--scale-in", "1", "--leak", "1e-310",
+                     "--rho", "0.7", "--allow-custom", "--layers", "2", "--units", "3",
+                     "--guesses", "2", "--out", str(out)]) == 1
+    assert ("DegenerateConfigurationError: leak_rate=1e-310"
+            in (out / "failures.txt").read_text())
+
+
 def _spectrum_peak(out, *flags) -> int:
     """tracemalloc's peak over one ``spectrum`` call with ``flags``."""
     tracemalloc.start()

@@ -152,6 +152,23 @@ def test_verify_equivalence_catches_planted_weight_error(monkeypatch):
     assert report.max_rel_diff > 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_flat_refuses_non_finite_inputs(bad):
+    u = np.ones(20)
+    u[7] = bad
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        de.run_flat(de.flatten(de.init_reservoir(de.HyperParams(2, 5))), u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verify_equivalence_refuses_non_finite_inputs(bad):
+    # the inputs are at fault, not the reservoir: seed 0 is not blamed
+    u = np.ones(20)
+    u[7] = bad
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        de.verify_equivalence(de.init_reservoir(de.HyperParams(2, 5)), u, rel_tol=1e-12)
+
+
 def test_verify_equivalence_rejects_bad_tol(small_reservoir):
     # an infinite tolerance would pass any gap
     for tol in (0.0, -1e-12, np.inf, np.nan):

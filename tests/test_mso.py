@@ -283,13 +283,14 @@ def test_linear_guess_memory_is_states_plus_a_few_ranges():
     assert peak < states + 5 * fit_range
 
 
-@pytest.mark.parametrize("steps,chunk,bound", [(1000, 4, 4.2), (400, 2, 3.0)])
+@pytest.mark.parametrize("steps,chunk,bound", [(1000, 4, 3.2), (400, 2, 3.0)])
 def test_shallow_guess_holds_its_states_m_and_the_scan_buffers(steps, chunk, bound):
-    # a 1x1000 guess holds its states, its effective matrix M (built in the
-    # buffer of its recurrent draw, not beside it) and _matrix_power's
-    # buffers: two beside M at b = 4, one at b = 2. At 1000 steps that is
-    # 4.0 N x N, at 400 steps 2.6 (What beside M and a copy of M read 5.0
-    # and 4.4). The memory rule's estimate bounds both.
+    # a 1x1000 guess holds its states and two N x N matrices at a time: at
+    # b = 4 M and M^2, then M^2 and M^4, with M dropped while its power is
+    # formed and built again (in the buffer of its recurrent draw) for the
+    # last pass; at b = 2 M and M^2. At 1000 steps that is 3.0 N x N, at 400
+    # steps 2.6 (M kept beside the power read 4.0 at 1000 steps, What beside
+    # M and a copy of M 5.0 and 4.4). The memory rule's estimate bounds both.
     n, q = 1000, steps // 10
     assert rc._chunk_length(steps, n) == chunk
     task = de.MsoTask(5)
@@ -309,6 +310,27 @@ def test_shallow_guess_holds_its_states_m_and_the_scan_buffers(steps, chunk, bou
     assert not any(isinstance(s, Exception) for s in scores)
     assert peak < bound * 8 * n * n
     assert peak < rc._guess_bytes(1, n, steps)
+
+
+@pytest.mark.parametrize("units,chunk", [(2000, 2), (50, 20)])
+def test_memory_rule_bounds_a_shallow_guess(units, chunk):
+    # the rule's k N x N beside the states: k = 2 at b = 2, M and M^2 (and
+    # at b = 4, in the test above); k = 3 at b = 20, not a power of two,
+    # whose odd bits keep M beside _matrix_power's two buffers
+    task = de.MsoTask(5)
+    assert rc._chunk_length(task.length, units) == chunk
+    u, targets = _signal_and_targets(task)
+    grid = de.GridSpec(1, units, leak_rates=(1.0,), spectral_radii=(0.7,), guesses=1)
+    evaluate = functools.partial(mso._evaluate_guess, u, targets, task.split, grid, 1.0, 0.7)
+    evaluate(42)  # fills the eigenvalue cache
+    tracemalloc.start()
+    try:
+        scores = evaluate(42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not any(isinstance(s, Exception) for s in scores)
+    assert peak < rc._guess_bytes(1, units, task.length)
 
 
 def test_one_layer_guess_scores_every_scale_from_one_fit():

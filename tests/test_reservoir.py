@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,20 @@ def test_zero_leak_rate_rejected(small_params):
         de.init_reservoir(dataclasses.replace(small_params, leak_rate=0.0))
 
 
+def test_subnormal_leak_rate_refused_where_weights_are_built():
+    # at leak 1e-310 dividing by a overflows What: the weights are refused,
+    # naming the leak rate, on both build paths and without numpy's warning;
+    # at 1e-308 What is finite and builds
+    tiny = de.HyperParams(2, 3, leak_rate=1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (de.init_reservoir, lambda p: list(rc._guess_layers(p, np.ones((5, 1))))):
+            with pytest.raises(DegenerateConfigurationError, match="leak_rate=1e-310"):
+                build(tiny)
+        res = de.init_reservoir(de.HyperParams(2, 3, leak_rate=1e-308))
+    assert all(np.isfinite(w).all() for w in res.recurrent_weights)
+
+
 def test_unscalable_matrix_error(monkeypatch, small_params):
     monkeypatch.setattr(rc, "_recurrent_base", lambda *args: None)
     with pytest.raises(UnscalableMatrixError):
@@ -263,6 +278,15 @@ def test_step_dimension_errors(small_reservoir):
         de.step(small_reservoir, np.zeros((3, 6)), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_step_refuses_non_finite_inputs(bad):
+    r = de.init_reservoir(de.HyperParams(2, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            de.step(r, np.zeros((2, 5)), [bad])
+
+
 # ------------------------------------------------------------------------ run
 
 def test_run_single_step(small_reservoir):
@@ -276,6 +300,15 @@ def test_run_zero_inputs_zero_trajectory(small_reservoir):
 def test_run_rejects_empty(small_reservoir):
     with pytest.raises(ValueError):
         de.run(small_reservoir, np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_run_refuses_non_finite_inputs(bad):
+    # one bad input among 20 would fill every later state of every layer
+    u = np.ones(20)
+    u[7] = bad
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        de.run(de.init_reservoir(de.HyperParams(2, 5)), u)
 
 
 #: Largest per-layer gap between ``run`` and repeated ``step``, relative to
@@ -341,8 +374,93 @@ def test_linear_scan_matches_recurrence_at_any_chunk_length(steps, b):
     for t in range(steps):
         x = expected[t] = m @ x + d[t]
     got = d.copy()
-    rc._linear_scan(got, m, b)
+    rc._linear_scan(got, lambda: m, b)
     assert np.abs(got - expected).max() <= RUN_VS_STEP_REL * np.abs(expected).max()
+
+
+def _matrix_power_kept(m, e):
+    # M^e as the scan formed it when it held M throughout
+    r = m
+    for bit in bin(e)[3:]:
+        r = r @ r
+        if bit == "1":
+            r = r @ m
+    return r
+
+
+def _scan_kept(x, m, b):
+    # the blocked scan that held M throughout: the bit-for-bit reference
+    steps = x.shape[0]
+    mt = m.T
+    for k in range(1, b):
+        rows = x[k::b]
+        rows += x[k - 1::b][: len(rows)] @ mt
+    if steps <= b:
+        return
+    ends = x[b - 1::b]
+    carry = _matrix_power_kept(m, b)
+    for c in range(1, len(ends)):
+        ends[c] += carry @ ends[c - 1]
+    z = ends[: len(x[b::b])]
+    for k in range(b - 1):
+        rows = x[b + k::b]
+        z = z[: len(rows)] @ mt
+        rows += z
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 20), layers=st.integers(1, 3), units=st.integers(1, 40),
+       steps=st.integers(1, 120), seed=st.integers(0, 2 ** 16))
+@example(b=4, layers=2, units=40, steps=101, seed=0)
+@example(b=16, layers=3, units=17, steps=120, seed=1)
+@example(b=20, layers=1, units=30, steps=100, seed=2)
+def test_run_has_the_bits_of_a_scan_that_holds_m(b, layers, units, steps, seed):
+    # at b >= 4 a power of two the scan drops M while M^b is squared and
+    # builds it again for the last pass; at any b the states keep the bits of
+    # the scan that held M
+    p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9, seed=seed)
+    r = de.init_reservoir(p)
+    u = np.random.default_rng(seed).uniform(-1, 1, (steps, 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rc, "_chunk_length", lambda steps, units: b)
+        states = de.run(r, u)
+    expected, src = np.empty_like(states), u
+    for i, (drive, w) in enumerate(zip((r.input_weights,) + r.inter_layer_weights,
+                                       r.recurrent_weights)):
+        x = np.matmul(src, drive.T, out=expected[:, i])
+        x *= p.leak_rate
+        _scan_kept(x, de.effective_matrix(w, p.leak_rate), b)
+        src = x
+    assert states.tobytes() == expected.tobytes()
+
+
+def test_guess_solves_one_eigenproblem_per_layer_cold_and_none_warm(monkeypatch):
+    # at b = 16 every layer's M is built twice; the second build reuses the
+    # layer's draw attempt and radii, so only a cold weight cache solves
+    solved, built = [], []
+    real_eigvals, real_effective = _native.eigvals, rc._effective
+
+    def eigvals(a):
+        solved.append(a.shape)
+        return real_eigvals(a)
+
+    def effective(params, layer, scaling):
+        built.append(layer)
+        return real_effective(params, layer, scaling)
+
+    monkeypatch.setattr(_native, "eigvals", eigvals)
+    monkeypatch.setattr(rc, "_effective", effective)
+    p = de.HyperParams(3, 100, leak_rate=0.9, spectral_radius_target=0.7, seed=77)
+    u = np.random.default_rng(0).uniform(-1, 1, (1000, 1))
+    assert rc._chunk_length(1000, 100) == 16
+    rc._recurrent_base.cache_clear()
+    for cold in (True, False):
+        solved.clear()
+        built.clear()
+        for _ in rc._guess_layers(p, u):
+            pass
+        assert solved == ([(100, 100)] * p.num_layers if cold else [])
+        assert built == [1, 1, 2, 2, 3, 3]
 
 
 def test_chunk_length_rule():
@@ -392,13 +510,14 @@ def test_run_equals_streamed_layers_bit_for_bit(layers, units, steps, seed):
        rho=st.floats(0.05, 2.0), seed=st.integers(0, 2 ** 64 - 1))
 def test_layer_weights_give_init_reservoirs_effective_matrices_bit_for_bit(
         layers, units, leak, rho, seed):
-    # _layer_weights turns What into M in What's own buffer; that is the same
-    # arithmetic as effective_matrix of init_reservoir's What
+    # _layer_weights' build turns What into M in What's own buffer; that is
+    # the same arithmetic as effective_matrix of init_reservoir's What
     p = de.HyperParams(layers, units, leak_rate=leak, spectral_radius_target=rho, seed=seed)
     res = de.init_reservoir(p)
     drives = (res.input_weights,) + res.inter_layer_weights
     for i in range(layers):
-        drive, m = rc._layer_weights(p, i + 1)
+        drive, build = rc._layer_weights(p, i + 1)
+        m = build()
         assert not (drive.flags.writeable or m.flags.writeable)
         assert drive.tobytes() == drives[i].tobytes()
         assert m.tobytes() == de.effective_matrix(res.recurrent_weights[i], leak).tobytes()

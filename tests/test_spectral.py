@@ -153,6 +153,16 @@ def test_layer_spectra_errors(monkeypatch):
         de.layer_spectra(p, u, guesses=1, washout=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_layer_spectra_refuses_non_finite_inputs(monkeypatch, bad):
+    # the inputs are refused before a guess is simulated, not blamed on it
+    monkeypatch.setattr(spectral, "_guess_layers", refuse)
+    u = np.ones(20)
+    u[7] = bad
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        de.layer_spectra(de.HyperParams(2, 5), u, guesses=2, washout=0)
+
+
 @pytest.mark.parametrize("params, error", [
     (de.HyperParams(3, 20, leak_rate=0.9, spectral_radius_target=50.0, seed=4),
      "non-finite reservoir states for input_scale=1.0 leak_rate=0.9 spectral_radius=50.0 "
