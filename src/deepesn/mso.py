@@ -61,6 +61,8 @@ class SplitSpec:
         t0, t1 = self.train
         v0, v1 = self.validation
         s0, s1 = self.test
+        if not all(map(_is_int, (t0, t1, v0, v1, s0, s1, self.washout))):
+            raise ValueError("split bounds and washout must be integers")
         if not (1 <= t0 <= t1 and v0 <= v1 and s0 <= s1):
             raise ValueError("split ranges must be nonempty and ordered")
         if v0 != t1 + 1 or s0 != v1 + 1:
@@ -97,6 +99,8 @@ class MsoTask:
     split: SplitSpec = SplitSpec()
 
     def __post_init__(self):
+        if not (_is_int(self.n) and _is_int(self.length)):
+            raise ValueError("n and length must be integers")
         if not 1 <= self.n <= len(CANONICAL_PHIS):
             raise ValueError(f"n must lie in [1, {len(CANONICAL_PHIS)}] for canonical frequencies")
         if self.length < self.split.required_length:

@@ -309,6 +309,8 @@ def step(res: DeepReservoir, state: np.ndarray, input_vector: np.ndarray) -> np.
         raise ValueError(f"input must have {p.input_dim} components, got {u.shape}")
     if not np.isfinite(u).all():
         raise ValueError("inputs must be finite")
+    if not np.isfinite(state).all():
+        raise ValueError("state must be finite")
     a = p.leak_rate
     new = np.empty_like(state)
     pre = res.input_weights @ u + res.recurrent_weights[0] @ state[0]
@@ -333,22 +335,6 @@ def _as_input_matrix(inputs, input_dim: int) -> np.ndarray:
     return u
 
 
-def _matrix_power(m: np.ndarray, e: int) -> np.ndarray:
-    """``m ** e`` for ``e >= 1`` by left-to-right repeated squaring; ``m`` is only read.
-
-    Besides ``m`` it holds at most two buffers, the power so far and the
-    next, and one at ``e = 2``. At ``e = 1`` it returns ``m`` itself. Where
-    ``e >= 4`` is a power of two, ``_linear_scan`` squares on its own: then
-    only the first squaring reads ``m``, and ``m`` can go before the rest.
-    """
-    r = m
-    for bit in bin(e)[3:]:
-        r = r @ r
-        if bit == "1":
-            r = r @ m
-    return r
-
-
 # Costs of the blocked scan in flops of a large matrix product on one core.
 # A matrix-vector product reads its whole matrix for two flops per entry and
 # runs about 8 times slower per flop: 8.1 is the least-squares fit of the
@@ -365,67 +351,62 @@ def _scan_cost(steps: int, units: int, b: int) -> float:
     """The part of ``_linear_scan``'s cost that depends on its chunk length ``b``.
 
     The chunk passes take about ``4 T N^2`` flops whatever ``b`` is. What
-    depends on ``b`` is forming ``M^b`` (one N x N product per squaring and
-    per further binary one of ``b``) and the ``ceil(T/b)`` sequential carries
+    depends on the power of two ``b`` is forming ``M^b`` (``log2 b`` N x N
+    products, one per squaring) and the ``ceil(T/b)`` sequential carries
     plus ``2 (b - 1)`` chunk passes, each of which reads all of ``M`` once, as
     a matrix-vector product does, in one numpy call.
     """
-    products = b.bit_length() - 2 + b.bit_count()
     reads = -(-steps // b) + 2 * (b - 1)
-    return (2.0 * units ** 3 * products
+    return (2.0 * units ** 3 * (b.bit_length() - 1)
             + reads * (_MATVEC_FLOP_COST * 2.0 * units ** 2 + _CALL_FLOP_COST))
 
 
 def _chunk_length(steps: int, units: int) -> int:
-    """The chunk length ``b`` of least ``_scan_cost``; ties go to the smaller ``b``.
+    """The power of two ``b <= T`` of least ``_scan_cost``; ties go to the smaller ``b``.
 
-    ``b = 1`` is the plain sequential recurrence. No ``b`` beyond
-    ``2 isqrt(T) + 1`` can win: it costs at least as much as the largest
-    power of two not above it, and halving a power of two while the half
-    stays above ``sqrt(T)`` saves a product and adds no reads.
+    ``b = 1`` is the plain sequential recurrence.
     """
-    last = min(steps, 2 * math.isqrt(steps) + 1)
-    return min(range(1, last + 1), key=lambda b: _scan_cost(steps, units, b))
+    return min((1 << e for e in range(steps.bit_length())),
+               key=lambda b: _scan_cost(steps, units, b))
 
 
 def _guess_bytes(layers: int, units: int, steps: int) -> int:
     """Estimated peak bytes of one guess of ``layers`` x ``units`` over ``steps`` inputs.
 
     A guess holds its ``(steps, layers, units)`` states. While a layer is
-    solved it also holds k N x N matrices (N = ``units``): k = 2 where the
-    chunk length b is a power of two (every b picked at N >= 100), as
-    ``_linear_scan`` then holds two powers of M at a time, or M and M^2;
-    k = 3 otherwise, M beside ``_matrix_power``'s two buffers. k = 2 covers
-    b = 1 too: a layer's M and its drive are held together once built, and
+    solved it also holds two N x N matrices (N = ``units``): ``_linear_scan``
+    holds two powers of M at a time, or M and M^2, and keeps M beside its
+    power as a third only where M is no larger than a chunk pass's rows.
+    Two also cover a layer's M and its drive, held together once built, and
     on a cold weight cache a draw and ``dgeev``'s copy of it. While it is
     scored it holds the readout's rows: the scored range times the layer
     weights and the factorization's copy of it, counted as one more block
-    the size of the states. The sum bounds both phases (tracemalloc peaks,
+    the size of the states, which also covers a chunk pass's rows and that
+    third matrix. The sum bounds both phases (tracemalloc peaks,
     ``tests/test_mso.py``).
     """
-    b = _chunk_length(steps, units)
-    k = 3 if b & (b - 1) else 2
-    return 8 * (2 * steps * layers * units + k * units * units)
+    return 8 * (2 * steps * layers * units + 2 * units * units)
 
 
 def _linear_scan(x: np.ndarray, build: Callable[[], np.ndarray], b: int) -> None:
     """Solve ``x_t = M x_{t-1} + d_t`` from ``x_{-1} = 0`` in place; ``x`` holds d.
 
     ``build()`` returns M. A blocked scan over chunks of ``b`` rows (Martin &
-    Cundy, arXiv 1709.04057; ``_chunk_length`` picks ``b``): every chunk
-    first runs from a zero start, all chunks at once; the chunk-end states
-    are then carried through ``M^b``; last, each chunk adds ``M^(k+1)`` times
-    the state before it to its row ``k``. Each row only ever reads earlier
-    rows, so the scan stays causal.
+    Cundy, arXiv 1709.04057; ``_chunk_length`` picks ``b``, a power of two):
+    every chunk first runs from a zero start, all chunks at once; the
+    chunk-end states are then carried through ``M^b``, formed by ``log2 b``
+    squarings; last, each chunk adds ``M^(k+1)`` times the state before it
+    to its row ``k``. Each row only ever reads earlier rows, so the scan
+    stays causal.
 
-    Where ``b >= 4`` is a power of two, ``M^b`` is formed by squarings alone,
-    and only the first reads M: M is dropped after it and built again after
-    the carries (rematerialization, Chen et al., arXiv 1604.06174), so the
-    scan holds at most two N x N matrices at a time, with the same bits. At
-    ``b <= 2`` dropping M would lower no peak, and the odd bits of any other
-    ``b`` read M, so M is built once and kept: three matrices at ``b >= 3``.
+    Only the first squaring reads M. Where ``b >= 4`` and ``N b > T``, M is
+    larger than a chunk pass's ``T/b`` rows, so it is dropped after that
+    squaring and built again after the carries (rematerialization, Chen et
+    al., arXiv 1604.06174), with the same bits: the scan then holds at most
+    two N x N matrices at a time. Elsewhere a rebuild would lower no peak,
+    and M is built once and kept.
     """
-    steps = x.shape[0]
+    steps, units = x.shape
     m = build()
     for k in range(1, b):
         rows = x[k::b]
@@ -433,12 +414,11 @@ def _linear_scan(x: np.ndarray, build: Callable[[], np.ndarray], b: int) -> None
     if steps <= b:
         return
     ends = x[b - 1::b]
-    if b < 4 or b & (b - 1):
-        carry = _matrix_power(m, b)
-    else:
-        carry, m = m @ m, None
-        for _ in range(b.bit_length() - 2):
-            carry = carry @ carry
+    carry, rebuild = m, b >= 4 and units * b > steps
+    for _ in range(b.bit_length() - 1):
+        carry = carry @ carry
+        if rebuild:
+            m = None
     for c in range(1, len(ends)):
         ends[c] += carry @ ends[c - 1]
     if m is None:

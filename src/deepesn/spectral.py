@@ -172,6 +172,8 @@ def spike_metrics(report: SpectrumReport, phis: Sequence[float]) -> SpikeMetrics
     freqs = np.asarray([float(p) / (2.0 * np.pi) for p in phis])
     if freqs.size == 0:
         raise ValueError("phis must be nonempty")
+    if not np.isfinite(freqs).all():
+        raise ValueError("phis must be finite")
     if freqs.min() < 0 or freqs.max() > report.freq_bins[-1]:
         raise ValueError("all frequencies must lie within the report's bin range")
     order = np.argsort(freqs)

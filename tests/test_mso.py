@@ -80,6 +80,20 @@ def test_invalid_n_rejected(n):
         de.MsoTask(n)
 
 
+@pytest.mark.parametrize("kwargs", [dict(n=2.5), dict(n=True), dict(n=5, length=1000.5),
+                                    dict(n=5, length=np.float64(1000))])
+def test_task_needs_integers(kwargs):
+    # 2.5 failed late in generate_mso, a length of 1000.5 gave 1001 samples
+    # and True was MSO1
+    with pytest.raises(ValueError, match="must be integers"):
+        de.MsoTask(**kwargs)
+
+
+def test_task_takes_numpy_integers():
+    task = de.MsoTask(np.int64(5), length=np.int32(1000))
+    assert de.generate_mso(task).shape == (1000,)
+
+
 def test_length_must_cover_split():
     with pytest.raises(ValueError):
         de.MsoTask(5, length=900)
@@ -119,6 +133,24 @@ def test_grid_defaults_are_benchmark_candidate_lists():
 def test_invalid_splits_rejected(kwargs):
     with pytest.raises(ValueError):
         de.SplitSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(washout=100.5),
+    dict(washout=True),
+    dict(train=(1, 400.0), validation=(401.0, 700)),
+    dict(test=(701, np.float64(1000))),
+])
+def test_split_needs_integers(kwargs):
+    # a float washout or bound made every record of a sweep an error, or
+    # grid_search raise TypeError
+    with pytest.raises(ValueError, match="must be integers"):
+        de.SplitSpec(**kwargs)
+
+
+def test_split_takes_numpy_integers():
+    s = de.SplitSpec(train=(np.int64(1), np.int64(400)), washout=np.int32(100))
+    assert s.fit_slice == slice(100, 400)
 
 
 def test_split_discipline_fit_slice_ignores_test_range():
@@ -312,11 +344,11 @@ def test_shallow_guess_holds_its_states_m_and_the_scan_buffers(steps, chunk, bou
     assert peak < rc._guess_bytes(1, n, steps)
 
 
-@pytest.mark.parametrize("units,chunk", [(2000, 2), (50, 20)])
+@pytest.mark.parametrize("units,chunk", [(2000, 2), (50, 16), (79, 16)])
 def test_memory_rule_bounds_a_shallow_guess(units, chunk):
-    # the rule's k N x N beside the states: k = 2 at b = 2, M and M^2 (and
-    # at b = 4, in the test above); k = 3 at b = 20, not a power of two,
-    # whose odd bits keep M beside _matrix_power's two buffers
+    # the rule's two N x N beside the states: M and M^2 at b = 2 (and powers
+    # of M at b = 4, in the test above); at b = 16 M is kept beside its power
+    # at 50 units, where N b <= T, and dropped and built again at 79
     task = de.MsoTask(5)
     assert rc._chunk_length(task.length, units) == chunk
     u, targets = _signal_and_targets(task)

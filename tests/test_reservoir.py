@@ -287,6 +287,16 @@ def test_step_refuses_non_finite_inputs(bad):
             de.step(r, np.zeros((2, 5)), [bad])
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_step_refuses_a_non_finite_state(bad):
+    # one bad entry would spread to the whole layer and every layer above it
+    r = de.init_reservoir(de.HyperParams(2, 5))
+    state = np.zeros((2, 5))
+    state[0, 3] = bad
+    with pytest.raises(ValueError, match="state must be finite"):
+        de.step(r, state, [0.5])
+
+
 # ------------------------------------------------------------------------ run
 
 def test_run_single_step(small_reservoir):
@@ -346,8 +356,8 @@ def test_run_matches_manual_stepping(small_reservoir, small_params, rng):
 @pytest.mark.parametrize("input_dim", [1, 2], ids=["linear-1", "linear-2"])
 def test_run_matches_step_across_chunk_shapes(small_params, input_dim, steps):
     # at 6 units the chunk-length rule picks b = 1 (the sequential recurrence)
-    # up to 4 steps, then b = 3, 2, 3, 20 and 24: one-step chunks, partial
-    # last chunks and chunks that divide the steps
+    # up to 4 steps, then b = 2 at 15 to 17 steps and 16 at 1000 and 1001:
+    # one-step chunks, partial last chunks and chunks that divide the steps
     r = de.init_reservoir(dataclasses.replace(small_params, input_dim=input_dim, seed=steps))
     u = np.random.default_rng(steps).uniform(-1, 1, (steps, input_dim))
     _assert_layers_close(de.run(r, u), _stepped(r, u))
@@ -409,15 +419,16 @@ def _scan_kept(x, m, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(b=st.integers(1, 20), layers=st.integers(1, 3), units=st.integers(1, 40),
-       steps=st.integers(1, 120), seed=st.integers(0, 2 ** 16))
+@given(b=st.sampled_from([1, 2, 4, 8, 16, 32]), layers=st.integers(1, 3),
+       units=st.integers(1, 40), steps=st.integers(1, 120), seed=st.integers(0, 2 ** 16))
 @example(b=4, layers=2, units=40, steps=101, seed=0)
 @example(b=16, layers=3, units=17, steps=120, seed=1)
-@example(b=20, layers=1, units=30, steps=100, seed=2)
+@example(b=32, layers=1, units=30, steps=100, seed=2)
+@example(b=8, layers=2, units=10, steps=120, seed=3)
 def test_run_has_the_bits_of_a_scan_that_holds_m(b, layers, units, steps, seed):
-    # at b >= 4 a power of two the scan drops M while M^b is squared and
-    # builds it again for the last pass; at any b the states keep the bits of
-    # the scan that held M
+    # at b >= 4 with N b > T the scan drops M while M^b is squared and builds
+    # it again for the last pass (b = 8 at 10 units and 120 steps keeps it);
+    # either way the states keep the bits of the scan that held M
     p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9, seed=seed)
     r = de.init_reservoir(p)
     u = np.random.default_rng(seed).uniform(-1, 1, (steps, 1))
@@ -435,8 +446,9 @@ def test_run_has_the_bits_of_a_scan_that_holds_m(b, layers, units, steps, seed):
 
 
 def test_guess_solves_one_eigenproblem_per_layer_cold_and_none_warm(monkeypatch):
-    # at b = 16 every layer's M is built twice; the second build reuses the
-    # layer's draw attempt and radii, so only a cold weight cache solves
+    # at b = 16 and 100 units (N b > T) every layer's M is built twice, at 10
+    # units (N b <= T) once; a second build reuses the layer's draw attempt
+    # and radii, so only a cold weight cache solves
     solved, built = [], []
     real_eigvals, real_effective = _native.eigvals, rc._effective
 
@@ -450,30 +462,35 @@ def test_guess_solves_one_eigenproblem_per_layer_cold_and_none_warm(monkeypatch)
 
     monkeypatch.setattr(_native, "eigvals", eigvals)
     monkeypatch.setattr(rc, "_effective", effective)
-    p = de.HyperParams(3, 100, leak_rate=0.9, spectral_radius_target=0.7, seed=77)
     u = np.random.default_rng(0).uniform(-1, 1, (1000, 1))
-    assert rc._chunk_length(1000, 100) == 16
-    rc._recurrent_base.cache_clear()
-    for cold in (True, False):
-        solved.clear()
-        built.clear()
-        for _ in rc._guess_layers(p, u):
-            pass
-        assert solved == ([(100, 100)] * p.num_layers if cold else [])
-        assert built == [1, 1, 2, 2, 3, 3]
+    for units, builds in ((100, 2), (10, 1)):
+        p = de.HyperParams(3, units, leak_rate=0.9, spectral_radius_target=0.7, seed=77)
+        assert rc._chunk_length(1000, units) == 16
+        rc._recurrent_base.cache_clear()
+        for cold in (True, False):
+            solved.clear()
+            built.clear()
+            for _ in rc._guess_layers(p, u):
+                pass
+            assert solved == ([(units, units)] * p.num_layers if cold else [])
+            assert built == [layer for layer in (1, 2, 3) for _ in range(builds)]
 
 
 def test_chunk_length_rule():
-    # the rule searches b up to 2 isqrt(T) + 1 only; a search over every b
-    # must agree
+    # the pick is the power of two up to T of least cost, the smaller on a tie
     for steps in (1, 2, 3, 17, 100, 1000):
         for units in (1, 6, 64, 100, 1000):
-            full = min(range(1, steps + 1), key=lambda b: rc._scan_cost(steps, units, b))
-            assert 1 <= rc._chunk_length(steps, units) == full <= steps
-    assert rc._chunk_length(1000, 1000) <= 8
-    # test_verify_equivalence_mso12_deep passes its 1e-14 bound at this chunk
-    # length (at most 2.6e-15 over seeds 40-59)
+            powers = [1 << e for e in range(steps.bit_length())]
+            costs = [rc._scan_cost(steps, units, b) for b in powers]
+            assert rc._chunk_length(steps, units) == powers[costs.index(min(costs))]
+    # the shapes of the benchmark and the acceptance criteria: 10x100 and
+    # 1x1000 (test_verify_equivalence_mso12_deep passes its 1e-14 bound at
+    # b = 16, at most 2.6e-15 over seeds 40-59), 1x2000, and 3x300 over 200
+    # steps
     assert rc._chunk_length(1000, 100) == 16
+    assert rc._chunk_length(1000, 1000) == 4
+    assert rc._chunk_length(1000, 2000) == 2
+    assert rc._chunk_length(200, 300) == 4
 
 
 @settings(max_examples=30, deadline=None)

@@ -231,6 +231,13 @@ def test_spike_metrics_nyquist_guard():
         de.spike_metrics(_flat_report(), ())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spike_metrics_refuses_non_finite_frequencies(bad):
+    # NaN passed the range check and landed in bin 0, a ratio of 1 per layer
+    with pytest.raises(ValueError):
+        de.spike_metrics(_flat_report(), (0.2, bad))
+
+
 def test_spike_metrics_ratio_orders_by_frequency():
     # synthetic curves: layer 0 flat, layer 1 attenuates high frequencies
     bins = 451
