@@ -288,8 +288,7 @@ def _evaluate_guess(u: np.ndarray, targets: np.ndarray, split: SplitSpec, grid: 
         try:
             params = HyperParams(grid.num_layers, grid.units_per_layer, leak_rate=leak,
                                  spectral_radius_target=rho, seed=seed)
-            states = np.empty((len(u), grid.num_layers, grid.units_per_layer))
-            for _ in _guess_layers(params, u[:, None], states):
+            for states in _guess_layers(params, u[:, None], grid.num_layers):
                 pass
         except Exception as exc:  # recorded per scale, excluded from selection
             return [exc] * len(scales)

@@ -266,7 +266,7 @@ def _layer_weights(params: HyperParams,
 
     Each ``build()`` returns a fresh M (``_effective``). The scaling is found
     here, once, so a ``build`` only redraws and rescales: it never solves an
-    eigenproblem, and ``_linear_scan`` may drop M and build it again.
+    eigenproblem, and a scan may drop M and build it again (``_power``).
     """
     return _drive(params, layer), partial(_effective, params, layer, _scaling(params, layer))
 
@@ -348,13 +348,14 @@ _CALL_FLOP_COST = 1e5
 
 
 def _scan_cost(steps: int, units: int, b: int) -> float:
-    """The part of ``_linear_scan``'s cost that depends on its chunk length ``b``.
+    """The part of a layer's scan cost that depends on its chunk length ``b``.
 
     The chunk passes take about ``4 T N^2`` flops whatever ``b`` is. What
     depends on the power of two ``b`` is forming ``M^b`` (``log2 b`` N x N
     products, one per squaring) and the ``ceil(T/b)`` sequential carries
-    plus ``2 (b - 1)`` chunk passes, each of which reads all of ``M`` once, as
-    a matrix-vector product does, in one numpy call.
+    plus ``2 (b - 1)`` reads of all of ``M``, each in one numpy call, like a
+    matrix-vector product: ``_linear_scan``'s two rounds of ``b - 1`` chunk
+    passes, or ``_input_scan``'s ``b - 1`` Krylov products and one round.
     """
     reads = -(-steps // b) + 2 * (b - 1)
     return (2.0 * units ** 3 * (b.bit_length() - 1)
@@ -374,18 +375,55 @@ def _guess_bytes(layers: int, units: int, steps: int) -> int:
     """Estimated peak bytes of one guess of ``layers`` x ``units`` over ``steps`` inputs.
 
     A guess holds its ``(steps, layers, units)`` states. While a layer is
-    solved it also holds two N x N matrices (N = ``units``): ``_linear_scan``
-    holds two powers of M at a time, or M and M^2, and keeps M beside its
-    power as a third only where M is no larger than a chunk pass's rows.
-    Two also cover a layer's M and its drive, held together once built, and
-    on a cold weight cache a draw and ``dgeev``'s copy of it. While it is
-    scored it holds the readout's rows: the scored range times the layer
-    weights and the factorization's copy of it, counted as one more block
-    the size of the states, which also covers a chunk pass's rows and that
-    third matrix. The sum bounds both phases (tracemalloc peaks,
-    ``tests/test_mso.py``).
+    solved it also holds two N x N matrices (N = ``units``): the squarings
+    of ``_power`` hold two powers of M at a time, or M and M^2, and keep M
+    beside them as a third only where M is no larger than a chunk pass's
+    rows; layer 1 forms its M^b before the states exist and then holds one
+    N x N beside them. Two also cover a layer's M and its drive, held
+    together once built, and on a cold weight cache a draw and ``dgeev``'s
+    copy of it. While it is scored it holds the readout's rows: the scored
+    range times the layer weights and the factorization's copy of it,
+    counted as one more block the size of the states, which also covers a
+    chunk pass's rows and that third matrix. The sum is an upper bound of
+    both phases (tracemalloc peaks, ``tests/test_mso.py``).
     """
     return 8 * (2 * steps * layers * units + 2 * units * units)
+
+
+def _power(build: Callable[[], np.ndarray], b: int, steps: int,
+           start: Callable[[np.ndarray], object]) -> tuple:
+    """``(M or None, M^b or None, start(M))``: the matrices of a blocked scan over ``steps`` rows.
+
+    ``build()`` returns M, and ``start(M)`` is M's one use before its power
+    is formed; it must keep no reference to M. M^b is formed by ``log2 b``
+    squarings, and only where there are two whole chunks to carry between
+    (``steps >= 2 b``). Where ``b >= 4`` and ``N b > T``, M is larger than a
+    chunk pass's ``T/b`` rows, so it is dropped after the first squaring and
+    None is returned in its place: the caller builds it again once M^b is
+    dropped (rematerialization, Chen et al., arXiv 1604.06174), with the
+    same bits, so the squarings hold at most two N x N matrices at a time.
+    Elsewhere a rebuild would lower no peak, and M is kept.
+    """
+    m = build()
+    started = start(m)
+    if steps < 2 * b:
+        return m, None, started
+    power, drop = m, b >= 4 and m.shape[0] * b > steps
+    for _ in range(b.bit_length() - 1):
+        power = power @ power
+        if drop:
+            m = None
+    return m, power, started
+
+
+def _carry(ends: np.ndarray, power: Optional[np.ndarray]) -> None:
+    """Carry the chunk-end states ``ends`` of a zero start through M^b, in place.
+
+    Chunk c's end gains ``M^b`` times the true end of chunk c - 1, one chunk
+    after another; ``power`` is None only where there is at most one chunk.
+    """
+    for c in range(1, len(ends)):
+        ends[c] += power @ ends[c - 1]
 
 
 def _linear_scan(x: np.ndarray, build: Callable[[], np.ndarray], b: int) -> None:
@@ -393,36 +431,26 @@ def _linear_scan(x: np.ndarray, build: Callable[[], np.ndarray], b: int) -> None
 
     ``build()`` returns M. A blocked scan over chunks of ``b`` rows (Martin &
     Cundy, arXiv 1709.04057; ``_chunk_length`` picks ``b``, a power of two):
-    every chunk first runs from a zero start, all chunks at once; the
-    chunk-end states are then carried through ``M^b``, formed by ``log2 b``
-    squarings; last, each chunk adds ``M^(k+1)`` times the state before it
-    to its row ``k``. Each row only ever reads earlier rows, so the scan
-    stays causal.
-
-    Only the first squaring reads M. Where ``b >= 4`` and ``N b > T``, M is
-    larger than a chunk pass's ``T/b`` rows, so it is dropped after that
-    squaring and built again after the carries (rematerialization, Chen et
-    al., arXiv 1604.06174), with the same bits: the scan then holds at most
-    two N x N matrices at a time. Elsewhere a rebuild would lower no peak,
-    and M is built once and kept.
+    every chunk first runs from a zero start, all chunks at once, in ``b -
+    1`` chunk passes; the chunk-end states are then carried through ``M^b``
+    (``_power``, ``_carry``); last, ``b - 1`` more passes add ``M^(k+1)``
+    times the state before each chunk to its row ``k``. Each row only ever
+    reads earlier rows, so the scan stays causal. ``_power`` may drop M
+    while it squares; M is then built again for the last passes. Layers
+    above the first are solved here, as their drive, the states of the
+    layer below, has full rank; layer 1 is solved by ``_input_scan``, which
+    comes here only where the inputs are too many for a factored drive.
     """
-    steps, units = x.shape
-    m = build()
-    for k in range(1, b):
-        rows = x[k::b]
-        rows += x[k - 1::b][: len(rows)] @ m.T
-    if steps <= b:
-        return
+    def zero_start(m):
+        for k in range(1, b):
+            rows = x[k::b]
+            rows += x[k - 1::b][: len(rows)] @ m.T
+
+    m, power, _ = _power(build, b, len(x), zero_start)
     ends = x[b - 1::b]
-    carry, rebuild = m, b >= 4 and units * b > steps
-    for _ in range(b.bit_length() - 1):
-        carry = carry @ carry
-        if rebuild:
-            m = None
-    for c in range(1, len(ends)):
-        ends[c] += carry @ ends[c - 1]
+    _carry(ends, power)
+    del power
     if m is None:
-        del carry
         m = build()
     z = ends[: len(x[b::b])]
     for k in range(b - 1):
@@ -431,38 +459,106 @@ def _linear_scan(x: np.ndarray, build: Callable[[], np.ndarray], b: int) -> None
         rows += z
 
 
+def _input_scan(u: np.ndarray, w: np.ndarray, build: Callable[[], np.ndarray], b: int,
+                depth: int) -> np.ndarray:
+    """Solve ``x_t = M x_{t-1} + w u_t`` from ``x_{-1} = 0`` into a new ``(T, depth, N)`` array.
+
+    Layer 1's recurrence, from its drive in factored form: the ``(T, r)``
+    inputs ``u`` and the N x r matrix ``w`` (``a W_in``). The states go into
+    ``[:, 0]`` of the returned array, which is allocated only once ``M^b``
+    is formed. The blocked scan of ``_linear_scan``, with its zero-start
+    round replaced by the b Krylov blocks ``M^j w`` (j < b; ``b - 1``
+    products of M by N x r): a chunk's zero-start end state is the sum of
+    ``M^j w`` times the input ``j`` steps before its end, so all of them are
+    one product of the ``(T/b, b r)`` lagged inputs by the stacked blocks.
+    They are carried through ``M^b`` (``_power``, ``_carry``, which may drop
+    M while it squares and then build it again), and ``b - 1`` passes fill
+    rows 0 to ``b - 2`` of every chunk from the true state before them plus
+    their rank-r drive. So the drive never takes a T x N matrix, and the
+    states are never held beside two N x N matrices.
+
+    The factored drive costs the Krylov blocks and a second product with
+    the inputs, ``2 r ((b - 1) N + T) N`` flops, and saves a round of chunk
+    passes, about ``2 T N^2``. Where it would save less than it costs, as
+    with many inputs (r >= 40 at 100 units and 1000 steps, r >= 250 at
+    1000 units), the drive is taken as a T x N matrix in the states and
+    solved by ``_linear_scan``, which allocates the states before M^b.
+    """
+    steps, units = u.shape[0], w.shape[0]
+    if u.shape[1] * ((b - 1) * units + steps) >= steps * units:
+        states = np.empty((steps, depth, units))
+        _linear_scan(np.matmul(u, w.T, out=states[:, 0]), build, b)
+        return states
+
+    def krylov(m):  # row j r + i holds (M^j w[:, i])^T
+        blocks = np.empty((b, w.shape[1], units))
+        blocks[0] = w.T
+        for j in range(1, b):
+            np.matmul(blocks[j - 1], m.T, out=blocks[j])
+        return blocks.reshape(-1, units)
+
+    m, power, blocks = _power(build, b, steps, krylov)
+    states = np.empty((steps, depth, units))
+    x = states[:, 0]
+    ends = x[b - 1::b]
+    lagged = u[: len(ends) * b].reshape(len(ends), b, u.shape[1])[:, ::-1]  # newest first
+    np.matmul(lagged.reshape(len(ends), blocks.shape[0]), blocks, out=ends)
+    del blocks
+    _carry(ends, power)
+    del power
+    if m is None:
+        m = build()
+    for k in range(b - 1):
+        rows = x[k::b]
+        if k:
+            np.matmul(x[k - 1::b][: len(rows)], m.T, out=rows)
+        else:  # chunk 0 starts from zero, chunk c from the end of chunk c - 1
+            rows[0] = 0.0
+            np.matmul(ends[: len(rows) - 1], m.T, out=rows[1:])
+        rows += u[k::b] @ w.T
+    return states
+
+
 def _solve_layers(layers: Iterable[tuple[np.ndarray, Callable[[], np.ndarray]]],
                   u: np.ndarray, leak_rate: float,
-                  out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+                  depth: Optional[int] = None) -> Iterator[np.ndarray]:
     """Each layer's ``(steps, units)`` states, solved from the layer below.
 
     ``layers`` gives each layer's ``(drive, build)`` pair, ``build()``
     returning a fresh copy of its effective matrix M, layer 1 first (as
     ``_layer_weights`` gives them); layer 1 is driven by the ``(steps,
-    input_dim)`` matrix ``u``. A layer's drive is one matrix product over
-    all steps, scaled by the leak rate, and its recurrence ``x_t = M x_{t-1}
-    + a d_t`` is solved in place by ``_linear_scan``, which builds M, copies
-    nothing of it and may build it twice. Layer ``i``'s states go into
-    ``out[:, i]`` when ``out`` is given and into a new array otherwise. Only
-    the layer being solved and the one driving it are held here; a layer's
-    drive is dropped once its product is taken, before M is built, and M
-    once the layer is solved, so a lazy ``layers`` keeps memory independent
-    of depth.
+    input_dim)`` matrix ``u``. Each layer solves ``x_t = M x_{t-1} + a d_t``
+    with one chunk length for all. Layer 1 keeps its drive factored as ``u``
+    and ``a W_in`` wherever that saves flops (``_input_scan``), so its
+    states are allocated only once its M^b is formed. A higher layer's drive is one matrix product over all
+    steps, scaled by the leak rate, and ``_linear_scan`` solves it in place.
+    Each scan builds M and may build it twice, copying nothing of it. A
+    higher layer's drive is dropped once its product is taken, before M is
+    built, M once the layer is solved, and the layer below once the drive
+    is taken, so a lazy ``layers`` keeps memory independent of depth.
+
+    With ``depth``, the layers are solved into one ``(steps, depth, units)``
+    array, layer i into ``[:, i]``, which is yielded instead once each layer
+    is solved.
     """
-    src, chunk, i = u, None, 0
+    stack, i = None, 0
     for w_drive, build in layers:  # not enumerate: its reused tuple would keep the pair
-        x = np.matmul(src, w_drive.T, out=None if out is None else out[:, i])
-        del w_drive
-        x *= leak_rate
-        if chunk is None:
-            chunk = _chunk_length(u.shape[0], x.shape[1])
-        _linear_scan(x, build, chunk)
-        src, i = x, i + 1
-        yield x
+        if i == 0:
+            chunk = _chunk_length(u.shape[0], w_drive.shape[0])
+            x = _input_scan(u, leak_rate * w_drive, build, chunk, depth or 1)
+            stack = None if depth is None else x
+            x = x[:, 0]
+        else:
+            x = np.matmul(x, w_drive.T, out=None if stack is None else stack[:, i])
+            del w_drive
+            x *= leak_rate
+            _linear_scan(x, build, chunk)
+        i += 1
+        yield x if stack is None else stack
 
 
 def _guess_layers(params: HyperParams, u: np.ndarray,
-                  out: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+                  depth: Optional[int] = None) -> Iterator[np.ndarray]:
     """The guess ``params`` builds, solved layer by layer from the input matrix ``u``.
 
     ``_solve_layers`` over ``_layer_weights``: each layer's weights are built
@@ -471,7 +567,7 @@ def _guess_layers(params: HyperParams, u: np.ndarray,
     ``init_reservoir(params)``.
     """
     weights = map(partial(_layer_weights, params), range(1, params.num_layers + 1))
-    return _solve_layers(weights, u, params.leak_rate, out)
+    return _solve_layers(weights, u, params.leak_rate, depth)
 
 
 def _require_finite(values: np.ndarray, params: HyperParams,
@@ -500,9 +596,8 @@ def run(res: DeepReservoir, inputs) -> np.ndarray:
     """
     p = res.params
     u = _as_input_matrix(inputs, p.input_dim)
-    out = np.empty((u.shape[0], p.num_layers, p.units_per_layer))
     layers = ((drive, partial(effective_matrix, w, p.leak_rate)) for drive, w in
               zip((res.input_weights,) + res.inter_layer_weights, res.recurrent_weights))
-    for _ in _solve_layers(layers, u, p.leak_rate, out):
+    for states in _solve_layers(layers, u, p.leak_rate, p.num_layers):
         pass
-    return _readonly(out)
+    return _readonly(states)

@@ -315,14 +315,15 @@ def test_linear_guess_memory_is_states_plus_a_few_ranges():
     assert peak < states + 5 * fit_range
 
 
-@pytest.mark.parametrize("steps,chunk,bound", [(1000, 4, 3.2), (400, 2, 3.0)])
+@pytest.mark.parametrize("steps,chunk,bound", [(1000, 4, 2.4), (400, 2, 3.0)])
 def test_shallow_guess_holds_its_states_m_and_the_scan_buffers(steps, chunk, bound):
-    # a 1x1000 guess holds its states and two N x N matrices at a time: at
-    # b = 4 M and M^2, then M^2 and M^4, with M dropped while its power is
-    # formed and built again (in the buffer of its recurrent draw) for the
-    # last pass; at b = 2 M and M^2. At 1000 steps that is 3.0 N x N, at 400
-    # steps 2.6 (M kept beside the power read 4.0 at 1000 steps, What beside
-    # M and a copy of M 5.0 and 4.4). The memory rule's estimate bounds both.
+    # layer 1 forms M^b before its states exist: at b = 4 M and M^2, then
+    # M^2 and M^4, with M dropped while its power is formed; then the
+    # states, M^4 and the chunk ends; then the states, M built again (in the
+    # buffer of its recurrent draw) and a pass's drive rows. At 1000 steps
+    # that is 2.27 N x N, at 400 steps (b = 2) 2.4 (the states allocated
+    # before M^b read 3.0 at 1000 steps, M kept beside the power 4.0, What
+    # beside M and a copy of M 5.0). The memory rule's estimate bounds both.
     n, q = 1000, steps // 10
     assert rc._chunk_length(steps, n) == chunk
     task = de.MsoTask(5)
@@ -621,10 +622,11 @@ def test_grid_search_failures_match_across_worker_counts(monkeypatch):
         building.seed = params.seed  # a guess builds its layers on its own thread
         return real_weights(params, layer)
 
-    def solve_layers(layers, u, leak_rate, out):
-        yield from real_solve(layers, u, leak_rate, out)
+    def solve_layers(layers, u, leak_rate, depth):
+        for states in real_solve(layers, u, leak_rate, depth):
+            yield states
         if building.seed == 8:
-            out[0, 0, 0] = 1e308
+            states[0, 0, 0] = 1e308
 
     monkeypatch.setattr(rc, "_layer_weights", layer_weights)
     monkeypatch.setattr(rc, "_solve_layers", solve_layers)

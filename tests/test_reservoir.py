@@ -419,30 +419,70 @@ def _scan_kept(x, m, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(b=st.sampled_from([1, 2, 4, 8, 16, 32]), layers=st.integers(1, 3),
+@given(b=st.sampled_from([1, 2, 4, 8, 16, 32]), layers=st.integers(2, 3),
        units=st.integers(1, 40), steps=st.integers(1, 120), seed=st.integers(0, 2 ** 16))
 @example(b=4, layers=2, units=40, steps=101, seed=0)
 @example(b=16, layers=3, units=17, steps=120, seed=1)
-@example(b=32, layers=1, units=30, steps=100, seed=2)
+@example(b=32, layers=2, units=30, steps=100, seed=2)
 @example(b=8, layers=2, units=10, steps=120, seed=3)
 def test_run_has_the_bits_of_a_scan_that_holds_m(b, layers, units, steps, seed):
-    # at b >= 4 with N b > T the scan drops M while M^b is squared and builds
-    # it again for the last pass (b = 8 at 10 units and 120 steps keeps it);
-    # either way the states keep the bits of the scan that held M
+    # at b >= 4 with N b > T the scan of a layer above the first drops M
+    # while M^b is squared and builds it again for the last pass (b = 8 at
+    # 10 units and 120 steps keeps it); either way its states keep the bits
+    # of the scan that held M, driven by the layer below as run solved it.
+    # Layer 1 has a scan of its own (test_input_scan_matches_step_and_run_flat)
     p = de.HyperParams(layers, units, leak_rate=0.8, spectral_radius_target=0.9, seed=seed)
     r = de.init_reservoir(p)
     u = np.random.default_rng(seed).uniform(-1, 1, (steps, 1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rc, "_chunk_length", lambda steps, units: b)
         states = de.run(r, u)
-    expected, src = np.empty_like(states), u
-    for i, (drive, w) in enumerate(zip((r.input_weights,) + r.inter_layer_weights,
-                                       r.recurrent_weights)):
-        x = np.matmul(src, drive.T, out=expected[:, i])
+    expected = np.empty_like(states)
+    expected[:, 0] = states[:, 0]
+    for i, (drive, w) in enumerate(zip(r.inter_layer_weights, r.recurrent_weights[1:]), 1):
+        x = np.matmul(expected[:, i - 1], drive.T, out=expected[:, i])
         x *= p.leak_rate
         _scan_kept(x, de.effective_matrix(w, p.leak_rate), b)
-        src = x
     assert states.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.sampled_from([1, 2, 4, 8, 16, 32]), input_dim=st.integers(1, 3),
+       layers=st.integers(1, 2), units=st.integers(1, 40), steps=st.integers(1, 120),
+       seed=st.integers(0, 2 ** 16))
+@example(b=8, input_dim=1, layers=1, units=20, steps=8, seed=0)  # T = b: one chunk
+@example(b=32, input_dim=1, layers=2, units=40, steps=32, seed=1)  # T = b
+@example(b=4, input_dim=1, layers=2, units=40, steps=5, seed=2)  # T = b + 1
+@example(b=2, input_dim=2, layers=1, units=20, steps=3, seed=3)  # T = b + 1
+@example(b=16, input_dim=2, layers=1, units=17, steps=101, seed=4)  # N b > T: M rebuilt
+@example(b=8, input_dim=3, layers=2, units=10, steps=120, seed=5)  # N b <= T: M kept
+@example(b=1, input_dim=3, layers=1, units=6, steps=40, seed=6)  # the plain recurrence
+@example(b=32, input_dim=2, layers=1, units=30, steps=7, seed=7)  # T < b: full-rank drive
+def test_input_scan_matches_step_and_run_flat(b, input_dim, layers, units, steps, seed):
+    # layer 1 is solved from its factored drive a W_in u_t (Krylov blocks,
+    # one product for the chunk ends, the carry through M^b and one round
+    # of passes) unless that costs more flops than the full-rank drive it
+    # replaces; either way it agrees with the sequential step and the flat
+    # recurrence. The examples above take the factored drive but the last
+    p = de.HyperParams(layers, units, input_dim=input_dim, leak_rate=0.8,
+                       spectral_radius_target=0.9, seed=seed)
+    r = de.init_reservoir(p)
+    u = np.random.default_rng(seed).uniform(-1, 1, (steps, input_dim))
+    scans, real_scan = [], rc._linear_scan
+
+    def linear_scan(x, build, b):
+        scans.append(x.shape)
+        real_scan(x, build, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rc, "_chunk_length", lambda steps, units: b)
+        patch.setattr(rc, "_linear_scan", linear_scan)
+        states = de.run(r, u)
+    factored = input_dim * ((b - 1) * units + steps) < steps * units
+    assert len(scans) == layers - factored
+    _assert_layers_close(states, _stepped(r, u))
+    flat = de.run_flat(de.flatten(r), u).reshape(states.shape)
+    _assert_layers_close(states, flat)
 
 
 def test_guess_solves_one_eigenproblem_per_layer_cold_and_none_warm(monkeypatch):
